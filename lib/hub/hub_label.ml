@@ -2,9 +2,11 @@ open Repro_graph
 
 type t = { n : int; labels : (int * int) array array }
 
-let normalise ~n v pairs =
-  ignore v;
-  let sorted = List.sort compare pairs in
+let compare_pair ((h1 : int), (d1 : int)) (h2, d2) =
+  if h1 <> h2 then Int.compare h1 h2 else Int.compare d1 d2
+
+let normalise ~n pairs =
+  let sorted = List.sort compare_pair pairs in
   let rec dedup = function
     | (h1, d1) :: (h2, d2) :: _ when h1 = h2 && d1 <> d2 ->
         invalid_arg "Hub_label.make: conflicting distances for a hub"
@@ -23,10 +25,31 @@ let normalise ~n v pairs =
 let make ~n per_vertex =
   if Array.length per_vertex <> n then
     invalid_arg "Hub_label.make: array length mismatch";
-  { n; labels = Array.mapi (fun v pairs -> normalise ~n v pairs) per_vertex }
+  { n; labels = Array.map (normalise ~n) per_vertex }
+
+(* Hubs strictly increasing and in range, distances non-negative: the
+   form [normalise] produces. *)
+let is_normal ~n pairs =
+  let k = Array.length pairs in
+  let rec go i prev =
+    i = k
+    ||
+    let h, d = pairs.(i) in
+    h > prev && h < n && d >= 0 && go (i + 1) h
+  in
+  go 0 (-1)
 
 let of_arrays ~n arrays =
-  make ~n (Array.map Array.to_list arrays)
+  if Array.length arrays <> n then
+    invalid_arg "Hub_label.make: array length mismatch";
+  {
+    n;
+    labels =
+      Array.map
+        (fun pairs ->
+          if is_normal ~n pairs then pairs else normalise ~n (Array.to_list pairs))
+        arrays;
+  }
 
 let n t = t.n
 

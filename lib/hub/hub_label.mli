@@ -17,6 +17,10 @@ val make : n:int -> (int * int) list array -> t
     @raise Invalid_argument on out-of-range hubs or negative distance. *)
 
 val of_arrays : n:int -> (int * int) array array -> t
+(** Like {!make}. A hubset whose hubs are already strictly increasing
+    and in range, with non-negative distances, is kept as is after one
+    linear check (the array is shared, so do not mutate it afterwards);
+    any other hubset is normalised as by {!make}. *)
 
 val n : t -> int
 

@@ -8,12 +8,22 @@
     vertices whose distance is not already answered by
     higher-importance hubs. The result is the minimal *canonical
     hierarchical* labeling for the given order, and is always an exact
-    cover. *)
+    cover.
+
+    Both builds share one kernel over the graph relabelled by rank.
+    The [pruned-sweep] span phase reports the [pruned] and
+    [labels_added] counters once per root. *)
 
 open Repro_graph
 
 val build : ?order:int array -> Graph.t -> Hub_label.t
-(** Unweighted PLL via pruned BFS. Default order: decreasing degree. *)
+(** Unweighted PLL via pruned BFS. Default order: decreasing degree.
+    @raise Invalid_argument if [order] is not a permutation of the
+    vertices. *)
 
 val build_w : ?order:int array -> Wgraph.t -> Hub_label.t
-(** Weighted PLL via pruned Dijkstra (weights may be zero). *)
+(** Weighted PLL via pruned Dijkstra (weights may be zero).
+    @raise Invalid_argument if [order] is not a permutation of the
+    vertices, or if a label distance needs more than [62 - b] bits,
+    where [b] is the bit width of [n - 1] (the label buffers pack a hub
+    and its distance into one int). *)

@@ -33,6 +33,23 @@ let test_label_merge_duplicates () =
     (Invalid_argument "Hub_label.make: conflicting distances for a hub")
     (fun () -> ignore (Hub_label.make ~n:1 [| [ (0, 0); (0, 1) ] |]))
 
+let test_of_arrays_checks () =
+  (* sorted input passes the linear check; anything else is normalised
+     or rejected exactly as by make *)
+  let sorted = [| (0, 1); (2, 0) |] in
+  let l = Hub_label.of_arrays ~n:3 [| sorted; [| (2, 1); (0, 0); (2, 1) |]; [||] |] in
+  Alcotest.(check (array (pair int int))) "kept" sorted (Hub_label.hubs l 0);
+  Alcotest.(check (array (pair int int))) "normalised" [| (0, 0); (2, 1) |]
+    (Hub_label.hubs l 1);
+  let raises msg pairs =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+        ignore (Hub_label.of_arrays ~n:2 [| pairs; [||] |]))
+  in
+  raises "Hub_label.make: hub out of range" [| (0, 0); (2, 1) |];
+  raises "Hub_label.make: hub out of range" [| (-1, 0) |];
+  raises "Hub_label.make: negative distance" [| (0, -1) |];
+  raises "Hub_label.make: conflicting distances for a hub" [| (1, 0); (1, 1) |]
+
 let test_label_stats () =
   let labels = Hub_label.make ~n:2 [| [ (0, 0) ]; [ (0, 1); (1, 0) ] |] in
   Test_util.check_int "total" 3 (Hub_label.total_size labels);
@@ -104,6 +121,103 @@ let pll_weighted_random_weights =
     (fun params ->
       let w = Gen.build_weighted params in
       Cover.verify_w w (Pll.build_w w))
+
+(* The canonical labeling for [order], read off all-pairs distance rows
+   and never from the PLL kernel: [(r, d(u,r))] is in [S(u)] exactly
+   when no vertex earlier than [r] lies on a shortest u-r path, i.e.
+   no [w] ranked before [r] has [d(u,w) + d(w,r) = d(u,r)]. Vertex [u]
+   itself is such a [w] when it precedes [r], and a root always keeps
+   [(r, 0)], even behind zero-weight edges. *)
+let canonical_oracle ~order rows =
+  let n = Array.length order in
+  let rank = Order.rank_of order in
+  Array.init n (fun u ->
+      let hubs = ref [] in
+      for r = n - 1 downto 0 do
+        let d = rows.(u).(r) in
+        let on_path w =
+          rank.(w) < rank.(r) && Dist.add rows.(u).(w) rows.(w).(r) = d
+        in
+        if
+          u = r
+          || Dist.is_finite d
+             && not (List.exists on_path (List.init n Fun.id))
+        then hubs := (r, d) :: !hubs
+      done;
+      Array.of_list !hubs)
+
+(* Build under a profile; the labeling must equal the oracle's, and the
+   per-sweep [labels_added] counter must sum to its total size. *)
+let matches_oracle ~order rows build =
+  let module Span = Repro_obs.Span in
+  let labels, root = Span.profile ~name:"oracle" build in
+  let added =
+    match Span.find root "pruned-sweep" with
+    | Some node ->
+        Option.value ~default:0 (List.assoc_opt "labels_added" node.counters)
+    | None -> -1
+  in
+  let expected = canonical_oracle ~order rows in
+  added = Hub_label.total_size labels
+  && Array.for_all Fun.id
+       (Array.mapi (fun u hubs -> Hub_label.hubs labels u = hubs) expected)
+
+let random_order seed n = Order.random (Random.State.make [| seed |]) n
+
+let pll_canonical_connected =
+  Test_util.qcheck "PLL = canonical oracle (connected, random orders)"
+    ~count:60
+    QCheck2.Gen.(pair Gen.small_connected_gen (int_range 0 1_000_000))
+    (fun (params, oseed) ->
+      let g = Gen.build_connected params in
+      let order = random_order oseed (Graph.n g) in
+      matches_oracle ~order (Traversal.bfs_rows g) (fun () ->
+          Pll.build ~order g))
+
+let pll_canonical_disconnected =
+  Test_util.qcheck "PLL = canonical oracle (disconnected, random orders)"
+    ~count:60
+    QCheck2.Gen.(pair Gen.small_graph_gen (int_range 0 1_000_000))
+    (fun (params, oseed) ->
+      let g = Gen.build_graph params in
+      let order = random_order oseed (Graph.n g) in
+      matches_oracle ~order (Traversal.bfs_rows g) (fun () ->
+          Pll.build ~order g))
+
+let pll_canonical_zero_weights =
+  Test_util.qcheck "weighted PLL = canonical oracle (zero-weight edges)"
+    ~count:60
+    QCheck2.Gen.(pair Gen.small_weighted_gen (int_range 0 1_000_000))
+    (fun (params, oseed) ->
+      (* weights in {0, 1, 2}: about a third of the edges are free *)
+      let w = Gen.build_weighted ~max_w:3 params in
+      let order = random_order oseed (Wgraph.n w) in
+      matches_oracle ~order (Dijkstra.distance_rows w) (fun () ->
+          Pll.build_w ~order w))
+
+let test_pll_rejects_non_permutation () =
+  (* a repeated vertex leaves another without a sweep: on the edge 0-1,
+     [|0; 0|] would never label 1 with itself, and query 1 1 would be 2 *)
+  let bad = [| 0; 0 |] in
+  Alcotest.check_raises "build"
+    (Invalid_argument "Pll.build: order is not a permutation") (fun () ->
+      ignore (Pll.build ~order:bad (Graph.of_edges ~n:2 [ (0, 1) ])));
+  Alcotest.check_raises "build_w"
+    (Invalid_argument "Pll.build_w: order is not a permutation") (fun () ->
+      ignore (Pll.build_w ~order:bad (Wgraph.of_edges ~n:2 [ (0, 1, 1) ])));
+  Alcotest.check_raises "out of range"
+    (Invalid_argument "Pll.build: order is not a permutation") (fun () ->
+      ignore (Pll.build ~order:[| 0; 2 |] (Graph.of_edges ~n:2 [ (0, 1) ])))
+
+let test_pll_w_distance_limit () =
+  (* 4096 vertices leave 62 - 12 = 50 bits for a packed distance *)
+  let w = Wgraph.of_edges ~n:4096 [ (0, 1, 1 lsl 51) ] in
+  Alcotest.check_raises "too large"
+    (Invalid_argument "Pll.build_w: distance too large for a packed label")
+    (fun () -> ignore (Pll.build_w w));
+  let w = Wgraph.of_edges ~n:4096 [ (0, 1, (1 lsl 50) - 1) ] in
+  Test_util.check_int "largest that fits" ((1 lsl 50) - 1)
+    (Hub_label.query (Pll.build_w w) 0 1)
 
 let test_pll_path_small_labels () =
   (* PLL with a centrality-first order on a path keeps labels roughly
@@ -228,6 +342,7 @@ let suite =
     Alcotest.test_case "make and query" `Quick test_label_make_and_query;
     Alcotest.test_case "disjoint hubsets" `Quick test_label_disjoint;
     Alcotest.test_case "duplicate handling" `Quick test_label_merge_duplicates;
+    Alcotest.test_case "of_arrays checks" `Quick test_of_arrays_checks;
     Alcotest.test_case "stats" `Quick test_label_stats;
     Alcotest.test_case "union and restrict" `Quick test_label_union_restrict;
     Alcotest.test_case "cover violations" `Quick test_cover_violations;
@@ -239,6 +354,13 @@ let suite =
     pll_weighted_random_weights;
     Alcotest.test_case "PLL on a path" `Quick test_pll_path_small_labels;
     Alcotest.test_case "PLL on a star" `Quick test_pll_star;
+    pll_canonical_connected;
+    pll_canonical_disconnected;
+    pll_canonical_zero_weights;
+    Alcotest.test_case "PLL rejects a non-permutation order" `Quick
+      test_pll_rejects_non_permutation;
+    Alcotest.test_case "weighted PLL distance limit" `Quick
+      test_pll_w_distance_limit;
     random_hitting_exact;
     Alcotest.test_case "random hitting stats" `Quick test_random_hitting_stats;
     greedy_landmark_exact;

@@ -2,9 +2,10 @@
 
    Builds one small fixture per instrumented construction pipeline with
    profiling on, then asserts (1) the exported span tree is valid JSON
-   — checked by a minimal standalone parser, no JSON dependency — and
-   (2) the recorded phase names exactly match the documented set in
-   docs/OBSERVABILITY.md. A rename or reorder of any pipeline phase
+   — checked by a minimal standalone parser, no JSON dependency — (2)
+   the recorded phase names exactly match the documented set in
+   docs/OBSERVABILITY.md, and (3) the documented per-phase counters are
+   still recorded. A rename or reorder of any pipeline phase
    fails CI until the docs (and this list) are updated with it. *)
 
 open Repro_graph
@@ -144,7 +145,27 @@ let documented =
     ("degree-gadget.build", [ "anchor-trees"; "edge-paths"; "adjacency" ]);
   ]
 
+(* Counters a phase must keep reporting, however often it reports
+   them (the PLL sweep batches its counts once per root). *)
+let documented_counters =
+  [ ("pll.build", [ ("pruned-sweep", [ "labels_added"; "pruned" ]) ]) ]
+
+let check_counters label tree =
+  List.iter
+    (fun (phase, names) ->
+      match List.find_opt (fun c -> c.Span.name = phase) tree.Span.children with
+      | None -> fail "%s: phase %S missing" label phase
+      | Some node ->
+          List.iter
+            (fun name ->
+              if not (List.mem_assoc name node.Span.counters) then
+                fail "%s: phase %S lost counter %S" label phase name)
+            names)
+    (Option.value ~default:[]
+       (List.assoc_opt tree.Span.name documented_counters))
+
 let check_tree label tree =
+  check_counters label tree;
   let json = Span.to_json tree in
   if not (check_json json) then fail "%s: span JSON does not parse" label;
   match List.assoc_opt tree.Span.name documented with
