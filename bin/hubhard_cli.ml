@@ -467,30 +467,6 @@ let structural_exit g labels =
       Printf.eprintf "validation failure: %s\n" msg;
       exit exit_validation_failure
 
-(* Zero-copy path: map the packed file instead of parsing it. The O(n)
-   header/offset validation is done by the loader; the O(total)
-   structural check is deliberately skipped — that is the whole point
-   of --mmap (run 'serve check' offline when provenance is in doubt).
-   Malformed files exit 10 like every other parse failure; a store
-   whose n disagrees with the graph exits 11. *)
-let load_mmap_exit ~graph path =
-  if path = "-" then begin
-    Printf.eprintf "hubhard: --mmap requires a regular file, not stdin\n";
-    exit 124
-  end;
-  match Mmap_hub.load_res path with
-  | Error e ->
-      Printf.eprintf "%s: parse failure: %s\n" path (Mmap_hub.error_to_string e);
-      exit exit_parse_failure
-  | Ok store ->
-      if Mmap_hub.n store <> Graph.n graph then begin
-        Printf.eprintf
-          "validation failure: mmap store has n=%d but graph has n=%d\n"
-          (Mmap_hub.n store) (Graph.n graph);
-        exit exit_validation_failure
-      end;
-      store
-
 let mmap_arg =
   let doc =
     "Serve from a zero-copy memory-mapped store: --labels-file must name a \
@@ -512,59 +488,128 @@ let compact_arg =
   in
   Arg.(value & flag & info [ "compact" ] ~doc)
 
-(* Compressed zero-copy path: the HUBFLAT2 mirror of load_mmap_exit.
-   Shallow O(n) validation on open; malformed files exit 10, an
-   n-mismatch exits 11. *)
-let load_compact_exit ~graph path =
-  if path = "-" then begin
-    Printf.eprintf "hubhard: --compact requires a regular file, not stdin\n";
-    exit 124
-  end;
-  match Compact_hub.load_res path with
-  | Error e ->
-      Printf.eprintf "%s: parse failure: %s\n" path
-        (Compact_hub.error_to_string e);
-      exit exit_parse_failure
-  | Ok store ->
-      if Compact_hub.n store <> Graph.n graph then begin
-        Printf.eprintf
-          "validation failure: compact store has n=%d but graph has n=%d\n"
-          (Compact_hub.n store) (Graph.n graph);
-        exit exit_validation_failure
-      end;
-      store
+let flat_arg =
+  let doc =
+    "Serve from the packed flat-array store (Flat_hub) instead of the \
+     per-vertex assoc labeling. Text label files are packed on load; \
+     binary packed files (hubhard label --pack) already are."
+  in
+  Arg.(value & flag & info [ "flat" ] ~doc)
 
-(* One shared resolver for the serving-store kind; every serve
-   subcommand (query | stats | loop | worker | router | trace) routes
-   its --mmap/--compact/--flat/--labels-file combination through here,
-   so the rejected combinations — and their exit-124 contract — live
-   in exactly one place. *)
-type store_kind = Store_assoc | Store_flat | Store_mmap | Store_compact
+let cache_slots_arg =
+  let doc =
+    "Direct-mapped distance-cache slots in front of the packed store: \
+     applies with --flat, --mmap and --compact, not to the assoc labeling \
+     (0 disables the cache)."
+  in
+  let slots =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some k when k >= 0 -> Ok k
+          | _ -> Error (`Msg "--cache-slots must be a non-negative integer")),
+        Format.pp_print_int )
+  in
+  Arg.(value & opt slots 0 & info [ "cache-slots" ] ~docv:"SLOTS" ~doc)
 
-let resolve_store_kind ?(flat = false) ~mmap ~compact ~labels_file () =
-  if (mmap && flat) || (compact && flat) || (mmap && compact) then begin
-    Printf.eprintf
-      "hubhard: --mmap, --compact and --flat are mutually exclusive\n";
-    exit 124
-  end;
-  if mmap && labels_file = None then begin
-    Printf.eprintf "hubhard: --mmap requires --labels-file\n";
-    exit 124
-  end;
-  if compact && labels_file = None then begin
-    Printf.eprintf "hubhard: --compact requires --labels-file\n";
-    exit 124
-  end;
-  if mmap then Store_mmap
-  else if compact then Store_compact
-  else if flat then Store_flat
-  else Store_assoc
+let labels_file_opt_arg =
+  let doc =
+    "Optional hub labeling file; without it queries are served by the \
+     search chain only."
+  in
+  Arg.(
+    value & opt (some string) None & info [ "labels-file" ] ~docv:"FILE" ~doc)
 
-let store_kind_name ~labels = function
-  | Store_mmap -> "mmap"
-  | Store_compact -> "compact"
-  | Store_flat -> "flat"
-  | Store_assoc -> if labels then "assoc" else "search"
+(* --labels-file and the store flags of every serve subcommand, checked
+   together when the command line is parsed (exit 124). *)
+type store_args = {
+  labels_file : string option;
+  flat : bool;
+  mmap : bool;
+  compact : bool;
+}
+
+let store_args_term ~with_flat =
+  let check labels_file flat mmap compact =
+    if (mmap && flat) || (compact && flat) || (mmap && compact) then
+      `Error (false, "--mmap, --compact and --flat are mutually exclusive")
+    else if (mmap || compact) && labels_file = None then
+      `Error
+        ( false,
+          (if mmap then "--mmap" else "--compact") ^ " requires --labels-file" )
+    else `Ok { labels_file; flat; mmap; compact }
+  in
+  Term.(
+    ret
+      (const check $ labels_file_opt_arg
+      $ (if with_flat then flat_arg else const false)
+      $ mmap_arg $ compact_arg))
+
+(* What a serve subcommand answers from: the search chain alone, the
+   parsed assoc labeling (sliced per shard by a worker), or a packed
+   store. [router] hands the same primary to a router's workers —
+   Router.config still takes typed stores. *)
+type loaded = {
+  primary : Worker.primary;
+  router : Router.config -> Router.config;
+}
+
+let store_name = function
+  | Worker.Search -> "search"
+  | Worker.Labels _ -> "assoc"
+  | Worker.Store s -> s.Label_store.kind
+
+(* The one loader. --mmap / --compact map the file in place: the loader
+   does the O(n) header/offset validation and the O(total) structural
+   check is deliberately skipped (run 'serve check' offline when
+   provenance is in doubt). Otherwise the labels are parsed (text or
+   binary), structurally checked, and packed under --flat. Parse
+   failures exit 10; an n-mismatch or a failed check exits 11. *)
+let load_store_exit ~graph args =
+  let mapped ~flag load =
+    let path = Option.get args.labels_file in
+    if path = "-" then begin
+      Printf.eprintf "hubhard: --%s requires a regular file, not stdin\n" flag;
+      exit 124
+    end;
+    match load path with
+    | Error msg ->
+        Printf.eprintf "%s: parse failure: %s\n" path msg;
+        exit exit_parse_failure
+    | Ok ((store : Label_store.packed), router) ->
+        if store.n <> Graph.n graph then begin
+          Printf.eprintf
+            "validation failure: %s store has n=%d but graph has n=%d\n" flag
+            store.n (Graph.n graph);
+          exit exit_validation_failure
+        end;
+        { primary = Worker.Store store; router }
+  in
+  if args.mmap then
+    mapped ~flag:"mmap" (fun path ->
+        match Mmap_hub.load_res path with
+        | Ok m ->
+            Ok (Mmap_hub.pack m, fun c -> { c with Router.mmap = Some m })
+        | Error e -> Error (Mmap_hub.error_to_string e))
+  else if args.compact then
+    mapped ~flag:"compact" (fun path ->
+        match Compact_hub.load_res path with
+        | Ok m ->
+            Ok (Compact_hub.pack m, fun c -> { c with Router.compact = Some m })
+        | Error e -> Error (Compact_hub.error_to_string e))
+  else
+    match args.labels_file with
+    | None -> { primary = Worker.Search; router = Fun.id }
+    | Some path ->
+        let labels, packed = parse_labels_exit path in
+        structural_exit graph labels;
+        let router c = { c with Router.labels = Some labels } in
+        if args.flat then
+          let flat =
+            match packed with Some f -> f | None -> Flat_hub.of_labels labels
+          in
+          { primary = Worker.Store (Flat_hub.pack flat); router }
+        else { primary = Worker.Labels labels; router }
 
 let graph_file_arg =
   let doc = "Graph file in Graph_io format ('-' for stdin)." in
@@ -612,15 +657,13 @@ let serve_check_cmd =
       const run $ graph_file_arg $ labels_file_req_arg $ samples $ seed_arg
       $ jobs_arg)
 
-(* Build the serving oracle for `serve query` / `serve stats`: one
+(* Build the serving oracle for `serve query` / `stats` / `loop`: one
    unified Resilient_oracle.create over a uniform primary backend,
    every layer instrumented into [registry]. Returns the oracle plus a
-   cache-stats thunk for whichever store is in play. [mmap] / [compact]
-   (already loaded and n-checked) take the primary slot when present;
-   [labels] feeds the assoc or heap-flat primaries otherwise. *)
-let build_serving_oracle ?clock ?(instrument_primary = true) ~registry ~labels
-    ~flat ~mmap ~compact ~cache_slots ~step_budget ~spot_check
-    ~quarantine_after ~inject_fraction ~inject_mode ~seed g =
+   cache-stats thunk for the packed store, if any. *)
+let build_serving_oracle ?clock ?(instrument_primary = true) ~registry
+    ~primary ~cache_slots ~step_budget ~spot_check ~quarantine_after
+    ~inject_fraction ~inject_mode ~seed g =
   let wrap_primary base =
     let base =
       if inject_fraction <= 0.0 then base
@@ -639,61 +682,27 @@ let build_serving_oracle ?clock ?(instrument_primary = true) ~registry ~labels
        when primary answers are precomputed in parallel *)
     if instrument_primary then Obs.instrument ?clock registry base else base
   in
-  (* the third slot is the native aggregate-op implementation riding
-     the same store: the assoc labeling has none (the oracle lifts its
-     point query over Ops.brute instead) *)
-  let primary_and_cache =
-    match (mmap, compact, labels) with
-    | Some m, _, _ ->
-        let store =
-          if cache_slots > 0 then Mmap_hub.with_cache ~cache_slots m else m
+  (* the assoc labeling has no native ops evaluator: the oracle lifts
+     its point query over Ops.brute instead *)
+  let store, base =
+    match primary with
+    | Worker.Search -> (None, None)
+    | Worker.Labels l ->
+        (None, Some (Resilient_oracle.hub_primary ?step_budget l))
+    | Worker.Store s ->
+        let s =
+          if cache_slots > 0 then s.Label_store.with_cache ~cache_slots else s
         in
-        Some
-          ( wrap_primary (Resilient_oracle.mmap_primary ?step_budget store),
-            (fun () -> Mmap_hub.cache_stats store),
-            Some (Mmap_hub.ops store) )
-    | None, Some c, _ ->
-        let store =
-          if cache_slots > 0 then Compact_hub.with_cache ~cache_slots c else c
-        in
-        Some
-          ( wrap_primary (Resilient_oracle.compact_primary ?step_budget store),
-            (fun () -> Compact_hub.cache_stats store),
-            Some (Compact_hub.ops store) )
-    | None, None, Some (l, packed) ->
-        let store =
-          if not flat then None
-          else
-            let s = Option.value packed ~default:(Flat_hub.of_labels l) in
-            Some
-              (if cache_slots > 0 then Flat_hub.with_cache ~cache_slots s
-               else s)
-        in
-        let base =
-          match store with
-          | Some s -> Resilient_oracle.flat_primary ?step_budget s
-          | None -> Resilient_oracle.hub_primary ?step_budget l
-        in
-        Some
-          ( wrap_primary base,
-            (fun () -> Option.bind store Flat_hub.cache_stats),
-            Option.map (fun s -> Flat_hub.ops s) store )
-    | None, None, None -> None
-  in
-  let primary = Option.map (fun (p, _, _) -> p) primary_and_cache in
-  let primary_ops =
-    Option.bind primary_and_cache (fun (_, _, o) -> o)
-  in
-  let cache_stats =
-    match primary_and_cache with
-    | Some (_, f, _) -> f
-    | None -> fun () -> None
+        (Some s, Some (Resilient_oracle.store_primary ?step_budget s))
   in
   let oracle =
     Resilient_oracle.create ?step_budget ~spot_check_every:spot_check
-      ~quarantine_after ~metrics:registry ?primary ?primary_ops g
+      ~quarantine_after ~metrics:registry
+      ?primary:(Option.map wrap_primary base)
+      ?primary_ops:(Option.map (fun (s : Label_store.packed) -> s.ops) store)
+      g
   in
-  (oracle, cache_stats)
+  (oracle, fun () -> Option.bind store (fun s -> s.Label_store.cache_stats ()))
 
 let write_file path s =
   let oc = open_out_bin path in
@@ -709,16 +718,79 @@ let metrics_out_arg =
   Arg.(
     value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
-let labels_file_opt_arg =
+(* Options and checks shared by the in-process serve subcommands and
+   the worker. *)
+let budget_arg =
   let doc =
-    "Optional hub labeling file; without it queries are served by the \
-     search chain only."
+    "Per-query step budget (label scan / bidirectional expansions); 0 \
+     means unlimited."
   in
+  Term.(
+    const (fun b -> if b > 0 then Some b else None)
+    $ Arg.(value & opt int 0 & info [ "budget" ] ~docv:"B" ~doc))
+
+let spot_check_arg =
+  let doc = "Spot-check every K-th primary answer (0 disables)." in
+  Arg.(value & opt int 1 & info [ "spot-check-every" ] ~docv:"K" ~doc)
+
+let quarantine_after_arg =
+  let doc = "Quarantine the primary after this many strikes." in
+  Arg.(value & opt int 3 & info [ "quarantine-after" ] ~docv:"Q" ~doc)
+
+let inject_fraction_arg =
+  let doc =
+    "Deterministically inject faults into this fraction of primary calls \
+     (demonstration/testing)."
+  in
+  let fraction =
+    Arg.conv
+      ( (fun s ->
+          match float_of_string_opt s with
+          | Some f when f >= 0.0 && f <= 1.0 -> Ok f
+          | _ -> Error (`Msg "--inject-fraction must lie in [0, 1]")),
+        Format.pp_print_float )
+  in
+  Arg.(value & opt fraction 0.0 & info [ "inject-fraction" ] ~docv:"F" ~doc)
+
+let inject_mode_arg =
+  let doc = "Injected fault kind: $(docv) is corrupt, drop or fail." in
   Arg.(
-    value & opt (some string) None & info [ "labels-file" ] ~docv:"FILE" ~doc)
+    value
+    & opt
+        (enum
+           [
+             ("corrupt", Fault_injector.Corrupt);
+             ("drop", Fault_injector.Drop);
+             ("fail", Fault_injector.Fail);
+           ])
+        Fault_injector.Corrupt
+    & info [ "inject-mode" ] ~docv:"MODE" ~doc)
+
+let serving_graph_exit path =
+  let g = parse_graph_exit path in
+  if Graph.n g = 0 then begin
+    Printf.eprintf "validation failure: empty graph\n";
+    exit exit_validation_failure
+  end;
+  g
+
+let op_requests_exit =
+  List.map (fun s ->
+      match Ops.request_of_string s with
+      | Ok r -> r
+      | Error msg ->
+          Printf.eprintf "hubhard: --op %S: %s\n" s msg;
+          exit 124)
+
+let validate_ops_exit ~n =
+  List.iter (fun r ->
+      match Ops.validate ~n r with
+      | Ok () -> ()
+      | Error msg ->
+          Printf.eprintf "validation failure: %s\n" msg;
+          exit exit_validation_failure)
 
 let serve_query_cmd =
-  let labels_file = labels_file_opt_arg in
   let pairs =
     let doc = "Query pair 'u,v' (repeatable)." in
     Arg.(
@@ -737,114 +809,19 @@ let serve_query_cmd =
     let doc = "Number of random query pairs when no --pair is given." in
     Arg.(value & opt int 16 & info [ "num" ] ~docv:"N" ~doc)
   in
-  let budget =
-    let doc =
-      "Per-query step budget (label scan / bidirectional expansions); 0 \
-       means unlimited."
-    in
-    Arg.(value & opt int 0 & info [ "budget" ] ~docv:"B" ~doc)
-  in
-  let spot_check =
-    let doc = "Spot-check every K-th primary answer (0 disables)." in
-    Arg.(value & opt int 1 & info [ "spot-check-every" ] ~docv:"K" ~doc)
-  in
-  let quarantine_after =
-    let doc = "Quarantine the primary after this many strikes." in
-    Arg.(value & opt int 3 & info [ "quarantine-after" ] ~docv:"Q" ~doc)
-  in
-  let flat =
-    let doc =
-      "Serve from the packed flat-array store (Flat_hub) instead of the \
-       per-vertex assoc labeling. Text label files are packed on load; \
-       binary packed files (hubhard label --pack) already are."
-    in
-    Arg.(value & flag & info [ "flat" ] ~doc)
-  in
-  let cache_slots =
-    let doc =
-      "With --flat: direct-mapped distance-cache slots (0 disables the \
-       cache)."
-    in
-    Arg.(value & opt int 0 & info [ "cache-slots" ] ~docv:"SLOTS" ~doc)
-  in
-  let inject_fraction =
-    let doc =
-      "Deterministically inject faults into this fraction of primary calls \
-       (demonstration/testing)."
-    in
-    Arg.(value & opt float 0.0 & info [ "inject-fraction" ] ~docv:"F" ~doc)
-  in
-  let inject_mode =
-    let doc = "Injected fault kind: $(docv) is corrupt, drop or fail." in
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("corrupt", Fault_injector.Corrupt);
-               ("drop", Fault_injector.Drop);
-               ("fail", Fault_injector.Fail);
-             ])
-          Fault_injector.Corrupt
-      & info [ "inject-mode" ] ~docv:"MODE" ~doc)
-  in
-  let run graph_file labels_file pairs ops num budget spot_check
-      quarantine_after flat mmap compact cache_slots inject_fraction
-      inject_mode metrics_out seed jobs =
+  let run graph_file store_args pairs ops num step_budget spot_check
+      quarantine_after cache_slots inject_fraction inject_mode metrics_out
+      seed jobs =
     apply_jobs jobs;
-    if inject_fraction < 0.0 || inject_fraction > 1.0 then begin
-      Printf.eprintf "hubhard: --inject-fraction must lie in [0, 1]\n";
-      exit 124
-    end;
-    if cache_slots < 0 then begin
-      Printf.eprintf "hubhard: --cache-slots must be non-negative\n";
-      exit 124
-    end;
-    let kind = resolve_store_kind ~flat ~mmap ~compact ~labels_file () in
-    let op_reqs =
-      List.map
-        (fun s ->
-          match Ops.request_of_string s with
-          | Ok r -> r
-          | Error msg ->
-              Printf.eprintf "hubhard: --op %S: %s\n" s msg;
-              exit 124)
-        ops
-    in
-    let g = parse_graph_exit graph_file in
+    let op_reqs = op_requests_exit ops in
+    let g = serving_graph_exit graph_file in
     let n = Graph.n g in
-    if n = 0 then begin
-      Printf.eprintf "validation failure: empty graph\n";
-      exit exit_validation_failure
-    end;
-    List.iter
-      (fun r ->
-        match Ops.validate ~n r with
-        | Ok () -> ()
-        | Error msg ->
-            Printf.eprintf "validation failure: %s\n" msg;
-            exit exit_validation_failure)
-      op_reqs;
-    let mmap =
-      if kind = Store_mmap then Option.map (load_mmap_exit ~graph:g) labels_file
-      else None
-    in
-    let compact =
-      if kind = Store_compact then
-        Option.map (load_compact_exit ~graph:g) labels_file
-      else None
-    in
-    let labels =
-      if mmap <> None || compact <> None then None
-      else Option.map parse_labels_exit labels_file
-    in
-    Option.iter (fun (l, _) -> structural_exit g l) labels;
-    let step_budget = if budget > 0 then Some budget else None in
+    validate_ops_exit ~n op_reqs;
+    let { primary; _ } = load_store_exit ~graph:g store_args in
     let registry = Metrics.create () in
     let oracle, _cache_stats =
-      build_serving_oracle ~registry ~labels ~flat ~mmap ~compact ~cache_slots
-        ~step_budget ~spot_check ~quarantine_after ~inject_fraction
-        ~inject_mode ~seed g
+      build_serving_oracle ~registry ~primary ~cache_slots ~step_budget
+        ~spot_check ~quarantine_after ~inject_fraction ~inject_mode ~seed g
     in
     let backend =
       Obs.instrument ~prefix:"serve" registry (Resilient_oracle.backend oracle)
@@ -905,34 +882,16 @@ let serve_query_cmd =
   in
   Cmd.v (Cmd.info "query" ~doc)
     Term.(
-      const run $ graph_file_arg $ labels_file $ pairs $ ops $ num $ budget
-      $ spot_check $ quarantine_after $ flat $ mmap_arg $ compact_arg
-      $ cache_slots $ inject_fraction $ inject_mode $ metrics_out_arg
+      const run $ graph_file_arg
+      $ store_args_term ~with_flat:true
+      $ pairs $ ops $ num $ budget_arg $ spot_check_arg $ quarantine_after_arg
+      $ cache_slots_arg $ inject_fraction_arg $ inject_mode_arg $ metrics_out_arg
       $ seed_arg $ jobs_arg)
 
 let serve_stats_cmd =
   let num =
     let doc = "Number of random query pairs to drive through the stack." in
     Arg.(value & opt int 256 & info [ "num" ] ~docv:"N" ~doc)
-  in
-  let budget =
-    let doc =
-      "Per-query step budget (label scan / bidirectional expansions); 0 \
-       means unlimited."
-    in
-    Arg.(value & opt int 0 & info [ "budget" ] ~docv:"B" ~doc)
-  in
-  let spot_check =
-    let doc = "Spot-check every K-th primary answer (0 disables)." in
-    Arg.(value & opt int 1 & info [ "spot-check-every" ] ~docv:"K" ~doc)
-  in
-  let flat =
-    let doc = "Serve from the packed flat-array store (see 'serve query')." in
-    Arg.(value & flag & info [ "flat" ] ~doc)
-  in
-  let cache_slots =
-    let doc = "With --flat: direct-mapped distance-cache slots." in
-    Arg.(value & opt int 0 & info [ "cache-slots" ] ~docv:"SLOTS" ~doc)
   in
   let json =
     let doc = "Print the metrics registry as JSON instead of the text report." in
@@ -953,39 +912,16 @@ let serve_stats_cmd =
     let doc = "Number of most recent per-query trace records to show." in
     Arg.(value & opt int 5 & info [ "traces" ] ~docv:"K" ~doc)
   in
-  let run graph_file labels_file num budget spot_check flat mmap compact
-      cache_slots json format traces metrics_out seed jobs =
+  let run graph_file store_args num step_budget spot_check cache_slots json format
+      traces metrics_out seed jobs =
     apply_jobs jobs;
-    if cache_slots < 0 then begin
-      Printf.eprintf "hubhard: --cache-slots must be non-negative\n";
-      exit 124
-    end;
-    let kind = resolve_store_kind ~flat ~mmap ~compact ~labels_file () in
-    let g = parse_graph_exit graph_file in
+    let g = serving_graph_exit graph_file in
     let n = Graph.n g in
-    if n = 0 then begin
-      Printf.eprintf "validation failure: empty graph\n";
-      exit exit_validation_failure
-    end;
-    let mmap =
-      if kind = Store_mmap then Option.map (load_mmap_exit ~graph:g) labels_file
-      else None
-    in
-    let compact =
-      if kind = Store_compact then
-        Option.map (load_compact_exit ~graph:g) labels_file
-      else None
-    in
-    let labels =
-      if mmap <> None || compact <> None then None
-      else Option.map parse_labels_exit labels_file
-    in
-    Option.iter (fun (l, _) -> structural_exit g l) labels;
-    let step_budget = if budget > 0 then Some budget else None in
+    let { primary; _ } = load_store_exit ~graph:g store_args in
     let registry = Metrics.create () in
     let oracle, cache_stats =
-      build_serving_oracle ~registry ~labels ~flat ~mmap ~compact ~cache_slots
-        ~step_budget ~spot_check ~quarantine_after:3 ~inject_fraction:0.0
+      build_serving_oracle ~registry ~primary ~cache_slots ~step_budget
+        ~spot_check ~quarantine_after:3 ~inject_fraction:0.0
         ~inject_mode:Fault_injector.Corrupt ~seed g
     in
     let recorder = Trace.recorder ~capacity:(max 1 traces) in
@@ -1033,9 +969,10 @@ let serve_stats_cmd =
   in
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(
-      const run $ graph_file_arg $ labels_file_opt_arg $ num $ budget
-      $ spot_check $ flat $ mmap_arg $ compact_arg $ cache_slots $ json
-      $ format $ traces $ metrics_out_arg $ seed_arg $ jobs_arg)
+      const run $ graph_file_arg
+      $ store_args_term ~with_flat:true
+      $ num $ budget_arg $ spot_check_arg $ cache_slots_arg $ json $ format $ traces
+      $ metrics_out_arg $ seed_arg $ jobs_arg)
 
 (* serve loop: a long-lived query loop over a file or stdin, flushing
    periodic observability snapshots (metrics registry + recent traces +
@@ -1084,50 +1021,6 @@ let serve_loop_cmd =
     let doc = "Ring capacity for the structured event log in snapshots." in
     Arg.(value & opt int 64 & info [ "events" ] ~docv:"K" ~doc)
   in
-  let budget =
-    let doc =
-      "Per-query step budget (label scan / bidirectional expansions); 0 \
-       means unlimited."
-    in
-    Arg.(value & opt int 0 & info [ "budget" ] ~docv:"B" ~doc)
-  in
-  let spot_check =
-    let doc = "Spot-check every K-th primary answer (0 disables)." in
-    Arg.(value & opt int 1 & info [ "spot-check-every" ] ~docv:"K" ~doc)
-  in
-  let quarantine_after =
-    let doc = "Quarantine the primary after this many strikes." in
-    Arg.(value & opt int 3 & info [ "quarantine-after" ] ~docv:"Q" ~doc)
-  in
-  let flat =
-    let doc = "Serve from the packed flat-array store (see 'serve query')." in
-    Arg.(value & flag & info [ "flat" ] ~doc)
-  in
-  let cache_slots =
-    let doc = "With --flat: direct-mapped distance-cache slots." in
-    Arg.(value & opt int 0 & info [ "cache-slots" ] ~docv:"SLOTS" ~doc)
-  in
-  let inject_fraction =
-    let doc =
-      "Deterministically inject faults into this fraction of primary calls \
-       (demonstration/testing)."
-    in
-    Arg.(value & opt float 0.0 & info [ "inject-fraction" ] ~docv:"F" ~doc)
-  in
-  let inject_mode =
-    let doc = "Injected fault kind: $(docv) is corrupt, drop or fail." in
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("corrupt", Fault_injector.Corrupt);
-               ("drop", Fault_injector.Drop);
-               ("fail", Fault_injector.Fail);
-             ])
-          Fault_injector.Corrupt
-      & info [ "inject-mode" ] ~docv:"MODE" ~doc)
-  in
   let echo =
     let doc = "Print each answer as 'u v dist source' (off by default)." in
     Arg.(value & flag & info [ "echo" ] ~doc)
@@ -1142,26 +1035,21 @@ let serve_loop_cmd =
     in
     Arg.(value & opt int 1 & info [ "batch" ] ~docv:"N" ~doc)
   in
-  let run graph_file labels_file queries_file flush_every flush_ticks
-      clock_step traces events_cap budget spot_check quarantine_after flat
-      mmap compact cache_slots inject_fraction inject_mode echo batch
-      metrics_out seed jobs =
+  let run graph_file store_args queries_file flush_every flush_ticks
+      clock_step traces events_cap step_budget spot_check quarantine_after
+      cache_slots inject_fraction inject_mode echo batch metrics_out seed jobs
+      =
     apply_jobs jobs;
     if batch < 1 then begin
       Printf.eprintf "hubhard: --batch must be positive\n";
       exit 124
     end;
-    if inject_fraction < 0.0 || inject_fraction > 1.0 then begin
-      Printf.eprintf "hubhard: --inject-fraction must lie in [0, 1]\n";
-      exit 124
-    end;
-    let kind = resolve_store_kind ~flat ~mmap ~compact ~labels_file () in
-    if cache_slots < 0 || flush_every < 0 || flush_ticks < 0 || clock_step < 0
-       || traces < 1 || events_cap < 1
+    if flush_every < 0 || flush_ticks < 0 || clock_step < 0 || traces < 1
+       || events_cap < 1
     then begin
       Printf.eprintf
-        "hubhard: --cache-slots/--flush-every/--flush-ticks/--clock-step \
-         must be non-negative; --traces/--events must be positive\n";
+        "hubhard: --flush-every/--flush-ticks/--clock-step must be \
+         non-negative; --traces/--events must be positive\n";
       exit 124
     end;
     let clock =
@@ -1173,34 +1061,16 @@ let serve_loop_cmd =
       Events.create ~clock (Events.ring ~capacity:events_cap)
     in
     Events.install event_log;
-    let g = parse_graph_exit graph_file in
+    let g = serving_graph_exit graph_file in
     let n = Graph.n g in
-    if n = 0 then begin
-      Printf.eprintf "validation failure: empty graph\n";
-      exit exit_validation_failure
-    end;
-    let mmap =
-      if kind = Store_mmap then Option.map (load_mmap_exit ~graph:g) labels_file
-      else None
-    in
-    let compact =
-      if kind = Store_compact then
-        Option.map (load_compact_exit ~graph:g) labels_file
-      else None
-    in
-    let labels =
-      if mmap <> None || compact <> None then None
-      else Option.map parse_labels_exit labels_file
-    in
-    Option.iter (fun (l, _) -> structural_exit g l) labels;
+    let { primary; _ } = load_store_exit ~graph:g store_args in
     (* the store kind recorded in every snapshot, next to the metrics *)
-    let store_kind = store_kind_name ~labels:(labels <> None) kind in
-    let step_budget = if budget > 0 then Some budget else None in
+    let store_kind = store_name primary in
     let registry = Metrics.create () in
     let oracle, _cache_stats =
       build_serving_oracle ~clock ~instrument_primary:(batch = 1) ~registry
-        ~labels ~flat ~mmap ~compact ~cache_slots ~step_budget ~spot_check
-        ~quarantine_after ~inject_fraction ~inject_mode ~seed g
+        ~primary ~cache_slots ~step_budget ~spot_check ~quarantine_after
+        ~inject_fraction ~inject_mode ~seed g
     in
     let recorder = Trace.recorder ~capacity:traces in
     let backend =
@@ -1209,7 +1079,7 @@ let serve_loop_cmd =
     in
     (* Fan a batch's primary answers across domains only when the
        primary is a pure function of the pair: fault injectors and the
-       flat store's distance cache mutate shared state per call. *)
+       packed store's distance cache mutate shared state per call. *)
     let batch_pool =
       if batch > 1 && inject_fraction = 0.0 && cache_slots = 0 then
         Some (Repro_par.Pool.default ())
@@ -1412,11 +1282,12 @@ let serve_loop_cmd =
   in
   Cmd.v (Cmd.info "loop" ~doc)
     Term.(
-      const run $ graph_file_arg $ labels_file_opt_arg $ queries_file
-      $ flush_every $ flush_ticks $ clock_step $ traces $ events_cap $ budget
-      $ spot_check $ quarantine_after $ flat $ mmap_arg $ compact_arg
-      $ cache_slots $ inject_fraction $ inject_mode $ echo $ batch
-      $ metrics_out_arg $ seed_arg $ jobs_arg)
+      const run $ graph_file_arg
+      $ store_args_term ~with_flat:true
+      $ queries_file $ flush_every $ flush_ticks $ clock_step $ traces
+      $ events_cap $ budget_arg $ spot_check_arg $ quarantine_after_arg $ cache_slots_arg
+      $ inject_fraction_arg $ inject_mode_arg $ echo $ batch $ metrics_out_arg
+      $ seed_arg $ jobs_arg)
 
 (* serve worker / serve router: the supervised sharded tier. A worker
    speaks the Wire protocol over stdin/stdout and owns one partition
@@ -1434,10 +1305,10 @@ let partition_arg =
     & opt
         (enum
            [
-             ("range", Repro_hub.Partition.Range);
-             ("hash", Repro_hub.Partition.Hash);
+             ("range", Partition.Range);
+             ("hash", Partition.Hash);
            ])
-        Repro_hub.Partition.Range
+        Partition.Range
     & info [ "partition" ] ~docv:"SCHEME" ~doc)
 
 let clock_step_arg =
@@ -1460,25 +1331,12 @@ let serve_worker_cmd =
     in
     Arg.(value & opt (some string) None & info [ "chaos" ] ~docv:"PLAN" ~doc)
   in
-  let budget =
-    let doc = "Per-query step budget; 0 means unlimited." in
-    Arg.(value & opt int 0 & info [ "budget" ] ~docv:"B" ~doc)
-  in
-  let spot_check =
-    let doc = "Spot-check every K-th primary answer (0 disables)." in
-    Arg.(value & opt int 1 & info [ "spot-check-every" ] ~docv:"K" ~doc)
-  in
-  let quarantine_after =
-    let doc = "Quarantine the primary after this many strikes." in
-    Arg.(value & opt int 3 & info [ "quarantine-after" ] ~docv:"Q" ~doc)
-  in
-  let run graph_file labels_file shards shard partition chaos budget spot_check
-      quarantine_after clock_step mmap compact seed =
+  let run graph_file store_args shards shard partition chaos step_budget spot_check
+      quarantine_after clock_step seed =
     if shards < 1 || shard < 0 || shard >= shards then begin
       Printf.eprintf "hubhard: need 0 <= --shard < --shards\n";
       exit 124
     end;
-    let kind = resolve_store_kind ~mmap ~compact ~labels_file () in
     let chaos =
       match chaos with
       | None -> None
@@ -1489,37 +1347,17 @@ let serve_worker_cmd =
               Printf.eprintf "hubhard: %s\n" msg;
               exit 124)
     in
-    let g = parse_graph_exit graph_file in
-    if Graph.n g = 0 then begin
-      Printf.eprintf "validation failure: empty graph\n";
-      exit exit_validation_failure
-    end;
-    let mmap =
-      if kind = Store_mmap then Option.map (load_mmap_exit ~graph:g) labels_file
-      else None
-    in
-    let compact =
-      if kind = Store_compact then
-        Option.map (load_compact_exit ~graph:g) labels_file
-      else None
-    in
-    let labels =
-      if mmap <> None || compact <> None then None
-      else Option.map parse_labels_exit labels_file
-    in
-    Option.iter (fun (l, _) -> structural_exit g l) labels;
+    let g = serving_graph_exit graph_file in
     let cfg =
       {
         Worker.graph = g;
-        labels = Option.map fst labels;
-        mmap;
-        compact;
+        primary = (load_store_exit ~graph:g store_args).primary;
         shards;
         shard;
         partition;
         spot_check_every = spot_check;
         quarantine_after;
-        step_budget = (if budget > 0 then Some budget else None);
+        step_budget;
         chaos;
         clock_step =
           (if clock_step > 0 then Some (Int64.of_int clock_step) else None);
@@ -1536,11 +1374,32 @@ let serve_worker_cmd =
   in
   Cmd.v (Cmd.info "worker" ~doc)
     Term.(
-      const run $ graph_file_arg $ labels_file_opt_arg $ shards_arg ~default:1
-      $ shard $ partition_arg $ chaos $ budget $ spot_check $ quarantine_after
-      $ clock_step_arg $ mmap_arg $ compact_arg $ seed_arg)
+      const run $ graph_file_arg
+      $ store_args_term ~with_flat:false
+      $ shards_arg ~default:1 $ shard $ partition_arg $ chaos $ budget_arg
+      $ spot_check_arg $ quarantine_after_arg $ clock_step_arg $ seed_arg)
 
-let serve_router_cmd =
+(* serve router and serve trace drive the same fleet: one set of
+   router-side arguments, one start-up path and one query-stream loop. *)
+type fleet_args = {
+  graph_file : string;
+  store_args : store_args;
+  queries_file : string;
+  ops : string list;
+  shards : int;
+  partition : Partition.spec;
+  chaos : string list;
+  batch : int;
+  deadline_ms : int;
+  max_restarts : int;
+  backoff_ms : int;
+  worker_exe : string option;
+  spot_check : int;
+  clock_step : int;
+  seed : int;
+}
+
+let fleet_term ~default_shards ~ops_doc ~chaos_doc ~batch_doc =
   let queries_file =
     let doc =
       "Query stream: one 'u v' pair per line ('-' for stdin; blank lines and \
@@ -1550,27 +1409,13 @@ let serve_router_cmd =
     Arg.(value & opt string "-" & info [ "queries" ] ~docv:"FILE" ~doc)
   in
   let ops =
-    let doc =
-      "Aggregate operation (repeatable, same forms as 'serve query --op'), \
-       fanned out to the owning shards and merged; a dead shard's share is \
-       served exactly by the router's local fallback (marked degraded)."
-    in
-    Arg.(value & opt_all string [] & info [ "op" ] ~docv:"OP" ~doc)
+    Arg.(value & opt_all string [] & info [ "op" ] ~docv:"OP" ~doc:ops_doc)
   in
   let chaos =
-    let doc =
-      "Per-shard chaos plan '<shard>:<fault>@<frames>' (repeatable), applied \
-       to that shard's initial worker."
-    in
-    Arg.(value & opt_all string [] & info [ "chaos" ] ~docv:"S:PLAN" ~doc)
+    Arg.(
+      value & opt_all string [] & info [ "chaos" ] ~docv:"S:PLAN" ~doc:chaos_doc)
   in
-  let batch =
-    let doc =
-      "Pairs per router batch; restarts happen only at batch boundaries, so \
-       a mid-batch crash degrades at most one batch of its partition."
-    in
-    Arg.(value & opt int 64 & info [ "batch" ] ~docv:"N" ~doc)
-  in
+  let batch = Arg.(value & opt int 64 & info [ "batch" ] ~docv:"N" ~doc:batch_doc) in
   let deadline_ms =
     let doc = "Per-request deadline in milliseconds." in
     Arg.(value & opt int 2000 & info [ "deadline-ms" ] ~docv:"MS" ~doc)
@@ -1590,208 +1435,195 @@ let serve_router_cmd =
     in
     Arg.(value & opt (some string) None & info [ "worker-exe" ] ~docv:"EXE" ~doc)
   in
-  let echo =
-    let doc = "Print each answer as 'u v dist source' (off by default)." in
-    Arg.(value & flag & info [ "echo" ] ~doc)
-  in
   let spot_check =
     let doc = "Per-worker spot-check cadence (0 disables)." in
     Arg.(value & opt int 1 & info [ "spot-check-every" ] ~docv:"K" ~doc)
   in
-  let run graph_file labels_file queries_file ops shards partition chaos batch
-      deadline_ms max_restarts backoff_ms worker_exe echo spot_check clock_step
-      mmap compact metrics_out seed =
-    if shards < 1 || batch < 1 || deadline_ms < 1 || max_restarts < 0
-       || backoff_ms < 0 || clock_step < 0
-    then begin
-      Printf.eprintf
-        "hubhard: need --shards/--batch/--deadline-ms positive, \
-         --max-restarts/--backoff-ms/--clock-step non-negative\n";
-      exit 124
-    end;
-    let kind = resolve_store_kind ~mmap ~compact ~labels_file () in
-    let op_reqs =
-      List.map
-        (fun s ->
-          match Ops.request_of_string s with
-          | Ok r -> r
-          | Error msg ->
-              Printf.eprintf "hubhard: --op %S: %s\n" s msg;
-              exit 124)
-        ops
-    in
-    let chaos =
-      List.map
-        (fun s ->
-          match String.index_opt s ':' with
-          | None ->
-              Printf.eprintf
-                "hubhard: --chaos %S: expected <shard>:<fault>@<frames>\n" s;
-              exit 124
-          | Some i -> (
-              let shard = String.sub s 0 i
-              and plan = String.sub s (i + 1) (String.length s - i - 1) in
-              match
-                (int_of_string_opt shard, Fault_injector.chaos_of_string plan)
-              with
-              | Some sh, Ok c when sh >= 0 && sh < shards -> (sh, c)
-              | Some _, Ok _ ->
-                  Printf.eprintf "hubhard: --chaos %S: shard out of range\n" s;
-                  exit 124
-              | None, _ ->
-                  Printf.eprintf "hubhard: --chaos %S: bad shard index\n" s;
-                  exit 124
-              | _, Error msg ->
-                  Printf.eprintf "hubhard: %s\n" msg;
-                  exit 124))
-        chaos
-    in
-    let g = parse_graph_exit graph_file in
-    let n = Graph.n g in
-    if n = 0 then begin
-      Printf.eprintf "validation failure: empty graph\n";
-      exit exit_validation_failure
-    end;
-    List.iter
-      (fun r ->
-        match Ops.validate ~n r with
-        | Ok () -> ()
-        | Error msg ->
-            Printf.eprintf "validation failure: %s\n" msg;
-            exit exit_validation_failure)
-      op_reqs;
-    let mmap_store =
-      if kind = Store_mmap then Option.map (load_mmap_exit ~graph:g) labels_file
-      else None
-    in
-    let compact_store =
-      if kind = Store_compact then
-        Option.map (load_compact_exit ~graph:g) labels_file
-      else None
-    in
-    let labels =
-      if mmap_store <> None || compact_store <> None then None
-      else Option.map parse_labels_exit labels_file
-    in
-    Option.iter (fun (l, _) -> structural_exit g l) labels;
-    let event_log = Events.create (Events.ring ~capacity:64) in
-    Events.install event_log;
-    let spawn =
-      match worker_exe with
-      | None -> Router.Fork
-      | Some exe ->
-          Router.Exec
-            (fun ~shard ->
-              let base =
-                [
-                  exe; "serve"; "worker"; "--graph-file"; graph_file;
-                  "--shards"; string_of_int shards;
-                  "--shard"; string_of_int shard;
-                  "--partition"; Repro_hub.Partition.string_of_spec partition;
-                  "--spot-check-every"; string_of_int spot_check;
-                  "--clock-step"; string_of_int clock_step;
-                  "--seed"; string_of_int seed;
-                ]
-              in
-              let base =
-                match labels_file with
-                | Some f -> base @ [ "--labels-file"; f ]
-                | None -> base
-              in
+  let make graph_file store_args queries_file ops shards partition chaos batch
+      deadline_ms max_restarts backoff_ms worker_exe spot_check clock_step seed
+      =
+    { graph_file; store_args; queries_file; ops; shards; partition; chaos;
+      batch; deadline_ms; max_restarts; backoff_ms; worker_exe; spot_check;
+      clock_step; seed }
+  in
+  Term.(
+    const make $ graph_file_arg
+    $ store_args_term ~with_flat:false
+    $ queries_file $ ops $ shards_arg ~default:default_shards $ partition_arg
+    $ chaos $ batch $ deadline_ms $ max_restarts $ backoff_ms $ worker_exe
+    $ spot_check $ clock_step_arg $ seed_arg)
+
+(* Validate the arguments, load the store and spawn the fleet. Returns
+   the router, the spawn span, the graph's n and the --op requests. *)
+let start_fleet_exit ?trace f =
+  if f.shards < 1 || f.batch < 1 || f.deadline_ms < 1 || f.max_restarts < 0
+     || f.backoff_ms < 0 || f.clock_step < 0
+  then begin
+    Printf.eprintf
+      "hubhard: need --shards/--batch/--deadline-ms positive, \
+       --max-restarts/--backoff-ms/--clock-step non-negative\n";
+    exit 124
+  end;
+  let op_reqs = op_requests_exit f.ops in
+  let chaos =
+    List.map
+      (fun s ->
+        match String.index_opt s ':' with
+        | None ->
+            Printf.eprintf
+              "hubhard: --chaos %S: expected <shard>:<fault>@<frames>\n" s;
+            exit 124
+        | Some i -> (
+            let shard = String.sub s 0 i
+            and plan = String.sub s (i + 1) (String.length s - i - 1) in
+            match
+              (int_of_string_opt shard, Fault_injector.chaos_of_string plan)
+            with
+            | Some sh, Ok c when sh >= 0 && sh < f.shards -> (sh, c)
+            | Some _, Ok _ ->
+                Printf.eprintf "hubhard: --chaos %S: shard out of range\n" s;
+                exit 124
+            | None, _ ->
+                Printf.eprintf "hubhard: --chaos %S: bad shard index\n" s;
+                exit 124
+            | _, Error msg ->
+                Printf.eprintf "hubhard: %s\n" msg;
+                exit 124))
+      f.chaos
+  in
+  let g = serving_graph_exit f.graph_file in
+  let n = Graph.n g in
+  validate_ops_exit ~n op_reqs;
+  let loaded = load_store_exit ~graph:g f.store_args in
+  Events.install (Events.create (Events.ring ~capacity:64));
+  let spawn =
+    match f.worker_exe with
+    | None -> Router.Fork
+    | Some exe ->
+        Router.Exec
+          (fun ~shard ->
+            Array.of_list
+              ([
+                 exe; "serve"; "worker"; "--graph-file"; f.graph_file;
+                 "--shards"; string_of_int f.shards;
+                 "--shard"; string_of_int shard;
+                 "--partition"; Partition.string_of_spec f.partition;
+                 "--spot-check-every"; string_of_int f.spot_check;
+                 "--clock-step"; string_of_int f.clock_step;
+                 "--seed"; string_of_int f.seed;
+               ]
+              @ (match f.store_args.labels_file with
+                | Some file -> [ "--labels-file"; file ]
+                | None -> [])
               (* exec'd workers map the packed file themselves; the OS
                  page cache still keeps one physical copy fleet-wide *)
-              let base = if mmap then base @ [ "--mmap" ] else base in
-              let base = if compact then base @ [ "--compact" ] else base in
-              let base =
-                match List.assoc_opt shard chaos with
-                | Some c ->
-                    base @ [ "--chaos"; Fault_injector.chaos_to_string c ]
-                | None -> base
-              in
-              Array.of_list base)
-    in
-    let cfg =
+              @ (match loaded.primary with
+                | Worker.Store s -> [ "--" ^ s.Label_store.kind ]
+                | Worker.Search | Worker.Labels _ -> [])
+              @
+              match List.assoc_opt shard chaos with
+              | Some c -> [ "--chaos"; Fault_injector.chaos_to_string c ]
+              | None -> []))
+  in
+  let cfg =
+    loaded.router
       {
         (Router.default_config g) with
-        labels = Option.map fst labels;
-        mmap = mmap_store;
-        compact = compact_store;
-        shards;
-        partition;
+        shards = f.shards;
+        partition = f.partition;
         supervisor =
           {
             Supervisor.default_config with
-            deadline_ns = Int64.of_int (deadline_ms * 1_000_000);
-            max_restarts;
-            base_backoff_ns = Int64.of_int (backoff_ms * 1_000_000);
+            deadline_ns = Int64.of_int (f.deadline_ms * 1_000_000);
+            max_restarts = f.max_restarts;
+            base_backoff_ns = Int64.of_int (f.backoff_ms * 1_000_000);
           };
-        spot_check_every = spot_check;
+        spot_check_every = f.spot_check;
         chaos;
         clock_step =
-          (if clock_step > 0 then Some (Int64.of_int clock_step) else None);
-        seed;
+          (if f.clock_step > 0 then Some (Int64.of_int f.clock_step) else None);
+        seed = f.seed;
         spawn;
+        trace;
       }
+  in
+  let router, spawn_span =
+    Span.profile ~name:"router.spawn" (fun () -> Router.create cfg)
+  in
+  (router, spawn_span, n, op_reqs)
+
+(* Serve the query stream in batches of [f.batch], handing every answer
+   to [on_answer]; returns the number of skipped lines. *)
+let drive_queries_exit f ~n ~op_reqs router on_answer =
+  let ic =
+    if f.queries_file = "-" then
+      if op_reqs <> [] then None (* --op alone: no query stream *)
+      else Some stdin
+    else
+      match open_in f.queries_file with
+      | ic -> Some ic
+      | exception Sys_error msg ->
+          Printf.eprintf "error: %s\n" msg;
+          exit exit_parse_failure
+  in
+  let skipped = ref 0 in
+  let pending = ref [] and pending_n = ref 0 in
+  let flush_batch () =
+    if !pending_n > 0 then begin
+      let arr = Array.of_list (List.rev !pending) in
+      pending := [];
+      pending_n := 0;
+      Array.iteri
+        (fun i a -> on_answer arr.(i) a)
+        (Router.query_batch router arr)
+    end
+  in
+  Option.iter
+    (fun ic ->
+      (try
+         while true do
+           let line = String.trim (input_line ic) in
+           if line <> "" && line.[0] <> '#' then
+             match Scanf.sscanf line " %d %d" (fun u v -> (u, v)) with
+             | exception _ -> incr skipped
+             | u, v ->
+                 if u < 0 || u >= n || v < 0 || v >= n then incr skipped
+                 else begin
+                   pending := (u, v) :: !pending;
+                   incr pending_n;
+                   if !pending_n >= f.batch then flush_batch ()
+                 end
+         done
+       with End_of_file -> ());
+      if ic != stdin then close_in ic)
+    ic;
+  flush_batch ();
+  !skipped
+
+let serve_router_cmd =
+  let echo =
+    let doc = "Print each answer as 'u v dist source' (off by default)." in
+    Arg.(value & flag & info [ "echo" ] ~doc)
+  in
+  let run f echo metrics_out =
+    let router, spawn_span, n, op_reqs = start_fleet_exit f in
+    let served = ref 0 and degraded = ref 0 in
+    let count degr =
+      incr served;
+      if degr then incr degraded
     in
-    let router, spawn_span =
-      Span.profile ~name:"router.spawn" (fun () -> Router.create cfg)
+    let skipped =
+      drive_queries_exit f ~n ~op_reqs router (fun (u, v) a ->
+          count a.Router.degraded;
+          if echo then
+            Format.printf "%d %d %a %s%s@." u v Dist.pp a.Router.dist
+              (Wire.name_of_source_code a.Router.source)
+              (if a.Router.degraded then " degraded" else ""))
     in
-    let ic =
-      if queries_file = "-" then
-        if op_reqs <> [] then None (* --op alone: no query stream *)
-        else Some stdin
-      else
-        match open_in queries_file with
-        | ic -> Some ic
-        | exception Sys_error msg ->
-            Printf.eprintf "error: %s\n" msg;
-            exit exit_parse_failure
-    in
-    let served = ref 0 and degraded = ref 0 and skipped = ref 0 in
-    let pending = ref [] and pending_n = ref 0 in
-    let flush_batch () =
-      if !pending_n > 0 then begin
-        let arr = Array.of_list (List.rev !pending) in
-        pending := [];
-        pending_n := 0;
-        let answers = Router.query_batch router arr in
-        Array.iteri
-          (fun i (a : Router.answer) ->
-            let u, v = arr.(i) in
-            incr served;
-            if a.Router.degraded then incr degraded;
-            if echo then
-              Format.printf "%d %d %a %s%s@." u v Dist.pp a.Router.dist
-                (Wire.name_of_source_code a.Router.source)
-                (if a.Router.degraded then " degraded" else ""))
-          answers
-      end
-    in
-    Option.iter
-      (fun ic ->
-        (try
-           while true do
-             let line = String.trim (input_line ic) in
-             if line <> "" && line.[0] <> '#' then
-               match Scanf.sscanf line " %d %d" (fun u v -> (u, v)) with
-               | exception _ -> incr skipped
-               | u, v ->
-                   if u < 0 || u >= n || v < 0 || v >= n then incr skipped
-                   else begin
-                     pending := (u, v) :: !pending;
-                     incr pending_n;
-                     if !pending_n >= batch then flush_batch ()
-                   end
-           done
-         with End_of_file -> ());
-        if ic != stdin then close_in ic)
-      ic;
-    flush_batch ();
     List.iter
       (fun req ->
         let r = Router.op router req in
-        incr served;
-        if r.Router.degraded then incr degraded;
+        count r.Router.degraded;
         Format.printf "%s -> %s %s%s@."
           (Ops.request_to_string req)
           (Ops.response_to_string r.Router.response)
@@ -1806,9 +1638,9 @@ let serve_router_cmd =
     Format.printf
       "served %d queries over %d shard(s) (%d degraded, %d lines skipped); \
        spawn took %Ldns@."
-      !served shards !degraded !skipped
+      !served f.shards !degraded skipped
       (Span.total_ns spawn_span);
-    for s = 0 to shards - 1 do
+    for s = 0 to f.shards - 1 do
       Format.printf "shard %d: %s, %d restart(s)@." s
         (Supervisor.state_name (Supervisor.state sup s))
         (Supervisor.restarts_used sup s)
@@ -1816,6 +1648,19 @@ let serve_router_cmd =
     Router.shutdown router;
     Events.uninstall ();
     if !degraded > 0 then exit exit_degraded
+  in
+  let fleet =
+    fleet_term ~default_shards:2
+      ~ops_doc:
+        "Aggregate operation (repeatable, same forms as 'serve query --op'), \
+         fanned out to the owning shards and merged; a dead shard's share is \
+         served exactly by the router's local fallback (marked degraded)."
+      ~chaos_doc:
+        "Per-shard chaos plan '<shard>:<fault>@<frames>' (repeatable), \
+         applied to that shard's initial worker."
+      ~batch_doc:
+        "Pairs per router batch; restarts happen only at batch boundaries, \
+         so a mid-batch crash degrades at most one batch of its partition."
   in
   let doc =
     "Route queries across a supervised fleet of forked (or exec'd) shard \
@@ -1825,64 +1670,9 @@ let serve_router_cmd =
      snapshot (router counters plus each worker's registry under \
      'shard<i>.'). Exit 12 when any answer was degraded."
   in
-  Cmd.v (Cmd.info "router" ~doc)
-    Term.(
-      const run $ graph_file_arg $ labels_file_opt_arg $ queries_file $ ops
-      $ shards_arg ~default:2 $ partition_arg $ chaos $ batch $ deadline_ms
-      $ max_restarts $ backoff_ms $ worker_exe $ echo $ spot_check
-      $ clock_step_arg $ mmap_arg $ compact_arg $ metrics_out_arg $ seed_arg)
+  Cmd.v (Cmd.info "router" ~doc) Term.(const run $ fleet $ echo $ metrics_out_arg)
 
 let serve_trace_cmd =
-  let queries_file =
-    let doc =
-      "Query stream: one 'u v' pair per line ('-' for stdin; blank lines and \
-       '#' comments skipped). With --op and no explicit --queries, the \
-       stream is skipped entirely."
-    in
-    Arg.(value & opt string "-" & info [ "queries" ] ~docv:"FILE" ~doc)
-  in
-  let ops =
-    let doc =
-      "Aggregate operation (repeatable, same forms as 'serve query --op'), \
-       fanned out and traced like any query."
-    in
-    Arg.(value & opt_all string [] & info [ "op" ] ~docv:"OP" ~doc)
-  in
-  let chaos =
-    let doc =
-      "Per-shard chaos plan '<shard>:<fault>@<frames>' (repeatable), applied \
-       to that shard's initial worker — chaos paths (retries, backoff, \
-       degraded recomputes) are exactly what the trace trees make visible."
-    in
-    Arg.(value & opt_all string [] & info [ "chaos" ] ~docv:"S:PLAN" ~doc)
-  in
-  let batch =
-    let doc = "Pairs per router batch (one trace tree per batch)." in
-    Arg.(value & opt int 64 & info [ "batch" ] ~docv:"N" ~doc)
-  in
-  let deadline_ms =
-    let doc = "Per-request deadline in milliseconds." in
-    Arg.(value & opt int 2000 & info [ "deadline-ms" ] ~docv:"MS" ~doc)
-  in
-  let max_restarts =
-    let doc = "Restart budget per shard before quarantine." in
-    Arg.(value & opt int 3 & info [ "max-restarts" ] ~docv:"R" ~doc)
-  in
-  let backoff_ms =
-    let doc = "Base restart backoff in milliseconds (doubles per restart)." in
-    Arg.(value & opt int 50 & info [ "backoff-ms" ] ~docv:"MS" ~doc)
-  in
-  let worker_exe =
-    let doc =
-      "Spawn workers by exec'ing $(docv) ('serve worker' is appended) \
-       instead of forking in-process."
-    in
-    Arg.(value & opt (some string) None & info [ "worker-exe" ] ~docv:"EXE" ~doc)
-  in
-  let spot_check =
-    let doc = "Per-worker spot-check cadence (0 disables)." in
-    Arg.(value & opt int 1 & info [ "spot-check-every" ] ~docv:"K" ~doc)
-  in
   let trace_sample =
     let doc =
       "Head-sample 1 in $(docv) traces (deterministic hash of the trace \
@@ -1915,200 +1705,29 @@ let serve_trace_cmd =
     in
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
-  let run graph_file labels_file queries_file ops shards partition chaos batch
-      deadline_ms max_restarts backoff_ms worker_exe spot_check trace_sample
-      slow_ms trace_format trace_out clock_step mmap compact metrics_out seed =
-    if shards < 1 || batch < 1 || deadline_ms < 1 || max_restarts < 0
-       || backoff_ms < 0 || clock_step < 0 || trace_sample < 1 || slow_ms < 0
-    then begin
+  let run f trace_sample slow_ms trace_format trace_out metrics_out =
+    if trace_sample < 1 || slow_ms < 0 then begin
       Printf.eprintf
-        "hubhard: need --shards/--batch/--deadline-ms/--trace-sample \
-         positive, --max-restarts/--backoff-ms/--clock-step/--slow-ms \
-         non-negative\n";
+        "hubhard: need --trace-sample positive, --slow-ms non-negative\n";
       exit 124
     end;
-    let kind = resolve_store_kind ~mmap ~compact ~labels_file () in
-    let op_reqs =
-      List.map
-        (fun s ->
-          match Ops.request_of_string s with
-          | Ok r -> r
-          | Error msg ->
-              Printf.eprintf "hubhard: --op %S: %s\n" s msg;
-              exit 124)
-        ops
-    in
-    let chaos =
-      List.map
-        (fun s ->
-          match String.index_opt s ':' with
-          | None ->
-              Printf.eprintf
-                "hubhard: --chaos %S: expected <shard>:<fault>@<frames>\n" s;
-              exit 124
-          | Some i -> (
-              let shard = String.sub s 0 i
-              and plan = String.sub s (i + 1) (String.length s - i - 1) in
-              match
-                (int_of_string_opt shard, Fault_injector.chaos_of_string plan)
-              with
-              | Some sh, Ok c when sh >= 0 && sh < shards -> (sh, c)
-              | Some _, Ok _ ->
-                  Printf.eprintf "hubhard: --chaos %S: shard out of range\n" s;
-                  exit 124
-              | None, _ ->
-                  Printf.eprintf "hubhard: --chaos %S: bad shard index\n" s;
-                  exit 124
-              | _, Error msg ->
-                  Printf.eprintf "hubhard: %s\n" msg;
-                  exit 124))
-        chaos
-    in
-    let g = parse_graph_exit graph_file in
-    let n = Graph.n g in
-    if n = 0 then begin
-      Printf.eprintf "validation failure: empty graph\n";
-      exit exit_validation_failure
-    end;
-    List.iter
-      (fun r ->
-        match Ops.validate ~n r with
-        | Ok () -> ()
-        | Error msg ->
-            Printf.eprintf "validation failure: %s\n" msg;
-            exit exit_validation_failure)
-      op_reqs;
-    let mmap_store =
-      if kind = Store_mmap then Option.map (load_mmap_exit ~graph:g) labels_file
-      else None
-    in
-    let compact_store =
-      if kind = Store_compact then
-        Option.map (load_compact_exit ~graph:g) labels_file
-      else None
-    in
-    let labels =
-      if mmap_store <> None || compact_store <> None then None
-      else Option.map parse_labels_exit labels_file
-    in
-    Option.iter (fun (l, _) -> structural_exit g l) labels;
-    let event_log = Events.create (Events.ring ~capacity:64) in
-    Events.install event_log;
-    let spawn =
-      match worker_exe with
-      | None -> Router.Fork
-      | Some exe ->
-          Router.Exec
-            (fun ~shard ->
-              let base =
-                [
-                  exe; "serve"; "worker"; "--graph-file"; graph_file;
-                  "--shards"; string_of_int shards;
-                  "--shard"; string_of_int shard;
-                  "--partition"; Repro_hub.Partition.string_of_spec partition;
-                  "--spot-check-every"; string_of_int spot_check;
-                  "--clock-step"; string_of_int clock_step;
-                  "--seed"; string_of_int seed;
-                ]
-              in
-              let base =
-                match labels_file with
-                | Some f -> base @ [ "--labels-file"; f ]
-                | None -> base
-              in
-              let base = if mmap then base @ [ "--mmap" ] else base in
-              let base = if compact then base @ [ "--compact" ] else base in
-              let base =
-                match List.assoc_opt shard chaos with
-                | Some c ->
-                    base @ [ "--chaos"; Fault_injector.chaos_to_string c ]
-                | None -> base
-              in
-              Array.of_list base)
-    in
-    let cfg =
+    let trace =
       {
-        (Router.default_config g) with
-        labels = Option.map fst labels;
-        mmap = mmap_store;
-        compact = compact_store;
-        shards;
-        partition;
-        supervisor =
-          {
-            Supervisor.default_config with
-            deadline_ns = Int64.of_int (deadline_ms * 1_000_000);
-            max_restarts;
-            base_backoff_ns = Int64.of_int (backoff_ms * 1_000_000);
-          };
-        spot_check_every = spot_check;
-        chaos;
-        clock_step =
-          (if clock_step > 0 then Some (Int64.of_int clock_step) else None);
-        seed;
-        spawn;
-        trace =
-          Some
-            {
-              Router.sample_every = trace_sample;
-              slow_ns = Int64.of_int (slow_ms * 1_000_000);
-              capacity = 4096;
-            };
+        Router.sample_every = trace_sample;
+        slow_ns = Int64.of_int (slow_ms * 1_000_000);
+        capacity = 4096;
       }
     in
-    let router = Router.create cfg in
-    let ic =
-      if queries_file = "-" then
-        if op_reqs <> [] then None
-        else Some stdin
-      else
-        match open_in queries_file with
-        | ic -> Some ic
-        | exception Sys_error msg ->
-            Printf.eprintf "error: %s\n" msg;
-            exit exit_parse_failure
+    let router, _, n, op_reqs = start_fleet_exit ~trace f in
+    let served = ref 0 and degraded = ref 0 in
+    let count degr =
+      incr served;
+      if degr then incr degraded
     in
-    let served = ref 0 and degraded = ref 0 and skipped = ref 0 in
-    let pending = ref [] and pending_n = ref 0 in
-    let flush_batch () =
-      if !pending_n > 0 then begin
-        let arr = Array.of_list (List.rev !pending) in
-        pending := [];
-        pending_n := 0;
-        let answers = Router.query_batch router arr in
-        Array.iter
-          (fun (a : Router.answer) ->
-            incr served;
-            if a.Router.degraded then incr degraded)
-          answers
-      end
+    let skipped =
+      drive_queries_exit f ~n ~op_reqs router (fun _ a -> count a.Router.degraded)
     in
-    Option.iter
-      (fun ic ->
-        (try
-           while true do
-             let line = String.trim (input_line ic) in
-             if line <> "" && line.[0] <> '#' then
-               match Scanf.sscanf line " %d %d" (fun u v -> (u, v)) with
-               | exception _ -> incr skipped
-               | u, v ->
-                   if u < 0 || u >= n || v < 0 || v >= n then incr skipped
-                   else begin
-                     pending := (u, v) :: !pending;
-                     incr pending_n;
-                     if !pending_n >= batch then flush_batch ()
-                   end
-           done
-         with End_of_file -> ());
-        if ic != stdin then close_in ic)
-      ic;
-    flush_batch ();
-    List.iter
-      (fun req ->
-        let r = Router.op router req in
-        incr served;
-        if r.Router.degraded then incr degraded)
-      op_reqs;
+    List.iter (fun req -> count (Router.op router req).Router.degraded) op_reqs;
     let trees = Router.trace_trees router in
     let rendered =
       let buf = Buffer.create 4096 in
@@ -2140,10 +1759,22 @@ let serve_trace_cmd =
     Format.printf
       "traced %d queries over %d shard(s): %d trace tree(s) (%d degraded, \
        %d lines skipped)@."
-      !served shards (List.length trees) !degraded !skipped;
+      !served f.shards (List.length trees) !degraded skipped;
     Router.shutdown router;
     Events.uninstall ();
     if !degraded > 0 then exit exit_degraded
+  in
+  let fleet =
+    fleet_term ~default_shards:3
+      ~ops_doc:
+        "Aggregate operation (repeatable, same forms as 'serve query --op'), \
+         fanned out and traced like any query."
+      ~chaos_doc:
+        "Per-shard chaos plan '<shard>:<fault>@<frames>' (repeatable), \
+         applied to that shard's initial worker — chaos paths (retries, \
+         backoff, degraded recomputes) are exactly what the trace trees make \
+         visible."
+      ~batch_doc:"Pairs per router batch (one trace tree per batch)."
   in
   let doc =
     "Route queries across the supervised sharded tier with distributed \
@@ -2157,11 +1788,8 @@ let serve_trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const run $ graph_file_arg $ labels_file_opt_arg $ queries_file $ ops
-      $ shards_arg ~default:3 $ partition_arg $ chaos $ batch $ deadline_ms
-      $ max_restarts $ backoff_ms $ worker_exe $ spot_check $ trace_sample
-      $ slow_ms $ trace_format $ trace_out $ clock_step_arg $ mmap_arg
-      $ compact_arg $ metrics_out_arg $ seed_arg)
+      const run $ fleet $ trace_sample $ slow_ms $ trace_format $ trace_out
+      $ metrics_out_arg)
 
 let serve_cmd =
   let doc =

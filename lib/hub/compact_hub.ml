@@ -34,7 +34,7 @@ module A1 = Bigarray.Array1
 
 type buf = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) A1.t
 
-type error =
+type error = Label_store.error =
   | Io of string
   | Not_regular of string
   | Too_short of { bytes : int }
@@ -45,39 +45,11 @@ type error =
   | Bad_offsets of { vertex : int; msg : string }
   | Bad_entry of { vertex : int; entry : int; msg : string }
 
-let error_to_string = function
-  | Io msg -> "Compact_hub: " ^ msg
-  | Not_regular path -> "Compact_hub: not a regular file: " ^ path
-  | Too_short { bytes } ->
-      Printf.sprintf "Compact_hub: %d bytes is too short for magic + header"
-        bytes
-  | Misaligned { bytes } ->
-      Printf.sprintf "Compact_hub: %d bytes is not a whole number of words"
-        bytes
-  | Bad_magic -> "Compact_hub: bad magic"
-  | Bad_header { word; msg } ->
-      Printf.sprintf "Compact_hub: header word at byte %d: %s" word msg
-  | Length_mismatch { expected_words; actual_words } ->
-      Printf.sprintf
-        "Compact_hub: length disagrees with header (expected %d words, file \
-         has %d)"
-        expected_words actual_words
-  | Bad_offsets { vertex; msg } ->
-      Printf.sprintf "Compact_hub: offset of vertex %d: %s" vertex msg
-  | Bad_entry { vertex; entry; msg } ->
-      Printf.sprintf "Compact_hub: entry %d of vertex %d: %s" entry vertex msg
+let error_to_string = Label_store.error_to_string ~prefix:"Compact_hub"
 
 exception Bad of error
 
-type cache = {
-  slots : int;
-  keys : int array; (* packed unordered pair, or -1 for an empty slot *)
-  values : int array;
-  mutable hits : int;
-  mutable misses : int;
-}
-
-type t = {
+type image = {
   n : int;
   total : int;
   block : int;
@@ -88,16 +60,7 @@ type t = {
   blob_base : int; (* byte index of the blob inside [buf] *)
   path : string; (* "" for a store decoded from in-memory bytes *)
   bytes : int;
-  cache : cache option;
 }
-
-let make_cache = function
-  | 0 -> None
-  | s when s < 0 -> invalid_arg "Compact_hub: cache_slots must be non-negative"
-  | s ->
-      Some
-        { slots = s; keys = Array.make s (-1); values = Array.make s 0;
-          hits = 0; misses = 0 }
 
 let magic = "HUBFLAT2"
 let default_block = 32
@@ -223,16 +186,7 @@ let word64 (buf : buf) i =
   !r
 
 let fits_int x = Int64.of_int (Int64.to_int x) = x
-
-let header_field buf ~index =
-  let x = word64 buf index in
-  let byte = 8 * index in
-  if not (fits_int x) then
-    Error (Bad_header { word = byte; msg = "overflows native int" })
-  else
-    let v = Int64.to_int x in
-    if v < 0 then Error (Bad_header { word = byte; msg = "negative" })
-    else Ok v
+let header_field buf ~index = Label_store.header_int ~index (word64 buf index)
 
 let decode_offsets buf ~first_word ~count ~limit ~what =
   (* [count] words, monotone from 0 to [limit], returned as a heap
@@ -264,7 +218,7 @@ let decode_offsets buf ~first_word ~count ~limit ~what =
     Ok out
   with Bad e -> Error e
 
-let validate ~path ~bytes (buf : buf) ~cache =
+let validate ~path ~bytes (buf : buf) =
   let ( let* ) = Result.bind in
   if bytes < min_bytes then Error (Too_short { bytes })
   else if bytes mod 8 <> 0 then Error (Misaligned { bytes })
@@ -335,7 +289,7 @@ let validate ~path ~bytes (buf : buf) ~cache =
       let* () = check_room 0 in
       Ok
         { n; total; block; blob_len; ent_off; byte_off; buf;
-          blob_base = 8 * header_words n; path; bytes; cache }
+          blob_base = 8 * header_words n; path; bytes }
 
 (* ---------------------------------------------------------------- *)
 (* The clamped reader and the block-skipping two-pointer merge. All
@@ -500,6 +454,36 @@ let raw_query t u v =
     let a = cursor t u ~k:ku and b = cursor t v ~k:kv in
     merge t.buf t.block a b Dist.inf
 
+module Core = Label_store.Make (struct
+  type t = image
+
+  let module_name = "Compact_hub"
+  let backend_name = "compact-hub-labeling"
+  let kind = "compact"
+  let n t = t.n
+  let size t v = t.ent_off.(v + 1) - t.ent_off.(v)
+
+  (* decoded via the same clamped reader as the query path *)
+  let hubs t v =
+    let k = size t v in
+    if k = 0 then [||]
+    else begin
+      let c = cursor t v ~k in
+      let out = Array.make k (0, 0) in
+      out.(0) <- (c.h, c.d);
+      for i = 1 to k - 1 do
+        ignore (advance t.buf ~block:t.block c);
+        out.(i) <- (c.h, c.d)
+      done;
+      out
+    end
+
+  let space_words t = (2 * (t.n + 1)) + ((t.blob_len + 7) / 8)
+  let raw_query = raw_query
+end)
+
+include Core
+
 (* ---------------------------------------------------------------- *)
 (* Deep validation: a strict decode of every region — minimal varints
    only, skip table checked against the actual layout, the full
@@ -523,7 +507,7 @@ let strict_varint buf ~re ~vertex ~entry pos =
   if !cnt > 1 && !last = 0 then fail "overlong varint";
   !x
 
-let validate_entries t =
+let validate_image t =
   try
     for v = 0 to t.n - 1 do
       let rs = t.blob_base + t.byte_off.(v) in
@@ -565,247 +549,74 @@ let validate_entries t =
     Ok ()
   with Bad e -> Error e
 
+let validate_entries t = validate_image (format t)
+
 (* ---------------------------------------------------------------- *)
 (* Loading. *)
 
-let finish_load ~what ~path res ~deep =
+let finish_load ~path ~deep ~make res =
   let ( let* ) = Result.bind in
   let res =
-    let* t = res in
-    let* () = if deep then validate_entries t else Ok () in
-    Ok t
+    let* image = res in
+    let* () = if deep then validate_image image else Ok () in
+    Ok (make image)
   in
   (match res with
   | Ok _ -> ()
   | Error e ->
       Repro_obs.Events.emit_ambient ~level:Repro_obs.Events.Warn
-        (what ^ ".load_failure")
+        "compact_hub.load_failure"
         [ ("path", Repro_obs.Events.Str path);
           ("msg", Repro_obs.Events.Str (error_to_string e)) ]);
   res
 
 let of_bytes_res ?(cache_slots = 0) ?(deep = false) s =
-  let cache = make_cache cache_slots in
+  let make = Core.make ~cache_slots in
   Repro_obs.Span.run ~name:"compact-hub.parse" (fun () ->
       let bytes = String.length s in
       Repro_obs.Span.count "bytes" bytes;
       let buf =
         A1.init Bigarray.char Bigarray.c_layout bytes (String.unsafe_get s)
       in
-      finish_load ~what:"compact_hub" ~path:"<bytes>"
-        (validate ~path:"" ~bytes buf ~cache)
-        ~deep)
-
-(* open → fstat → map → close, every failure mode funnelled into a
-   typed error; the fd is closed on all paths (the mapping survives). *)
-let open_and_map path =
-  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
-  | exception Unix.Unix_error (err, _, _) ->
-      Error (Io (path ^ ": " ^ Unix.error_message err))
-  | fd ->
-      let close () = try Unix.close fd with Unix.Unix_error _ -> () in
-      let finish r = close (); r in
-      (match Unix.fstat fd with
-      | exception Unix.Unix_error (err, _, _) ->
-          finish (Error (Io (path ^ ": fstat: " ^ Unix.error_message err)))
-      | st ->
-          if st.Unix.st_kind <> Unix.S_REG then finish (Error (Not_regular path))
-          else
-            let bytes = st.Unix.st_size in
-            if bytes < min_bytes then finish (Error (Too_short { bytes }))
-            else
-              match
-                Bigarray.array1_of_genarray
-                  (Unix.map_file fd Bigarray.char Bigarray.c_layout false
-                     [| bytes |])
-              with
-              | buf -> finish (Ok (buf, bytes))
-              | exception Unix.Unix_error (err, _, _) ->
-                  finish (Error (Io (path ^ ": map: " ^ Unix.error_message err)))
-              | exception Sys_error msg -> finish (Error (Io msg)))
+      finish_load ~path:"<bytes>" ~deep ~make (validate ~path:"" ~bytes buf))
 
 let load_res ?(cache_slots = 0) ?(deep = false) path =
-  let cache = make_cache cache_slots in
+  let make = Core.make ~cache_slots in
   Repro_obs.Span.run ~name:"compact-hub.load" (fun () ->
       let ( let* ) = Result.bind in
-      finish_load ~what:"compact_hub" ~path
-        (let* buf, bytes = open_and_map path in
+      finish_load ~path ~deep ~make
+        (let* buf, bytes = Label_store.map_file Bigarray.char ~min_bytes path in
          Repro_obs.Span.count "bytes" bytes;
-         validate ~path ~bytes buf ~cache)
-        ~deep)
+         validate ~path ~bytes buf))
 
 (* ---------------------------------------------------------------- *)
-(* Accessors and the public query surface. *)
+(* Accessors. *)
 
-let with_cache ~cache_slots t = { t with cache = make_cache cache_slots }
-let n t = t.n
-let total_size t = t.total
-let block t = t.block
-let path t = t.path
-let bytes t = t.bytes
+let total_size t = (format t).total
+let block t = (format t).block
+let path t = (format t).path
+let bytes t = (format t).bytes
 
 let bits_per_entry t =
-  if t.total = 0 then 0.
-  else 8. *. float_of_int t.bytes /. float_of_int t.total
-
-let size t v =
-  if v < 0 || v >= t.n then invalid_arg "Compact_hub.size";
-  t.ent_off.(v + 1) - t.ent_off.(v)
-
-let hubs t v =
-  if v < 0 || v >= t.n then invalid_arg "Compact_hub.hubs";
-  let k = t.ent_off.(v + 1) - t.ent_off.(v) in
-  if k = 0 then [||]
-  else begin
-    let c = cursor t v ~k in
-    let out = Array.make k (0, 0) in
-    out.(0) <- (c.h, c.d);
-    for i = 1 to k - 1 do
-      ignore (advance t.buf ~block:t.block c);
-      out.(i) <- (c.h, c.d)
-    done;
-    out
-  end
+  let i = format t in
+  if i.total = 0 then 0. else 8. *. float_of_int i.bytes /. float_of_int i.total
 
 let to_flat t =
-  let offsets = Array.copy t.ent_off in
-  let data = Array.make (2 * t.total) 0 in
-  for v = 0 to t.n - 1 do
-    let lo = t.ent_off.(v) in
+  let i = format t in
+  let offsets = Array.copy i.ent_off in
+  let data = Array.make (2 * i.total) 0 in
+  for v = 0 to i.n - 1 do
+    let lo = i.ent_off.(v) in
     Array.iteri
-      (fun i (h, d) ->
-        data.(2 * (lo + i)) <- h;
-        data.((2 * (lo + i)) + 1) <- d)
+      (fun k (h, d) ->
+        data.(2 * (lo + k)) <- h;
+        data.((2 * (lo + k)) + 1) <- d)
       (hubs t v)
   done;
-  Flat_hub.of_raw ~n:t.n ~offsets ~data
-
-let cached_query t c u v =
-  let key = if u <= v then (u * t.n) + v else (v * t.n) + u in
-  let slot = key mod c.slots in
-  if Array.unsafe_get c.keys slot = key then begin
-    c.hits <- c.hits + 1;
-    Array.unsafe_get c.values slot
-  end
-  else begin
-    c.misses <- c.misses + 1;
-    let d = raw_query t u v in
-    Array.unsafe_set c.keys slot key;
-    Array.unsafe_set c.values slot d;
-    d
-  end
-
-let dispatch t u v =
-  match t.cache with None -> raw_query t u v | Some c -> cached_query t c u v
-
-let query t u v =
-  if u < 0 || u >= t.n || v < 0 || v >= t.n then invalid_arg "Compact_hub.query";
-  dispatch t u v
-
-let query_many ?pool t pairs =
-  Array.iter
-    (fun (u, v) ->
-      if u < 0 || u >= t.n || v < 0 || v >= t.n then
-        invalid_arg "Compact_hub.query_many")
-    pairs;
-  let m = Array.length pairs in
-  let out = Array.make m 0 in
-  (match t.cache with
-  | Some c ->
-      (* same contract as Flat_hub.query_many: the direct-mapped cache
-         is not domain-safe, so cached batches stay on the calling
-         domain with hit/miss merged once at the end *)
-      let hits = ref 0 and misses = ref 0 in
-      for k = 0 to m - 1 do
-        let u, v = Array.unsafe_get pairs k in
-        let key = if u <= v then (u * t.n) + v else (v * t.n) + u in
-        let slot = key mod c.slots in
-        let d =
-          if Array.unsafe_get c.keys slot = key then begin
-            incr hits;
-            Array.unsafe_get c.values slot
-          end
-          else begin
-            incr misses;
-            let d = raw_query t u v in
-            Array.unsafe_set c.keys slot key;
-            Array.unsafe_set c.values slot d;
-            d
-          end
-        in
-        Array.unsafe_set out k d
-      done;
-      c.hits <- c.hits + !hits;
-      c.misses <- c.misses + !misses
-  | None ->
-      (* the blob is read-only: fan the batch out *)
-      let pool =
-        match pool with Some p -> p | None -> Repro_par.Pool.default ()
-      in
-      Repro_par.Pool.parallel_for pool ~n:m (fun ~slot:_ lo hi ->
-          for k = lo to hi - 1 do
-            let u, v = Array.unsafe_get pairs k in
-            Array.unsafe_set out k (raw_query t u v)
-          done));
-  out
-
-let cache_stats t =
-  match t.cache with None -> None | Some c -> Some (c.hits, c.misses)
-
-let space_words t = (2 * (t.n + 1)) + ((t.blob_len + 7) / 8)
+  Flat_hub.of_raw ~n:i.n ~offsets ~data
 
 let pp ppf t =
+  let i = format t in
   Format.fprintf ppf "compact_hub(%s, n=%d, total=%d, block=%d, %dB, cache=%s)"
-    (if t.path = "" then "<bytes>" else t.path)
-    t.n t.total t.block t.bytes
-    (match t.cache with
-    | None -> "none"
-    | Some c -> string_of_int c.slots ^ " slots")
-
-let backend_name = "compact-hub-labeling"
-
-let backend t =
-  let detailed u v =
-    if u < 0 || u >= t.n || v < 0 || v >= t.n then
-      invalid_arg "Compact_hub.query";
-    match t.cache with
-    | None ->
-        let d = raw_query t u v in
-        ( d,
-          Repro_obs.Trace.make
-            ~entries_scanned:(size t u + size t v)
-            ~source:backend_name ~u ~v ~dist:d () )
-    | Some c ->
-        let hits0 = c.hits in
-        let d = cached_query t c u v in
-        let cache =
-          if c.hits > hits0 then Repro_obs.Trace.Hit else Repro_obs.Trace.Miss
-        in
-        let scanned =
-          match cache with
-          | Repro_obs.Trace.Hit -> 0
-          | _ -> size t u + size t v
-        in
-        ( d,
-          Repro_obs.Trace.make ~entries_scanned:scanned ~cache
-            ~source:backend_name ~u ~v ~dist:d () )
-  in
-  Repro_obs.Backend.make ~name:backend_name ~space_words:(space_words t)
-    ~detailed (query t)
-
-let ops ?pool t =
-  let module Base = (val backend t : Repro_obs.Backend.S) in
-  let q = query t and h = hubs t and nn = t.n in
-  let idx = lazy (Hub_index.build ~n:nn ~hubs:h) in
-  let module B = struct
-    include Base
-
-    let op req =
-      match req with
-      | Repro_obs.Ops.Dist _ | Repro_obs.Ops.Batch _ ->
-          (* point queries decode straight off the blob and never
-             force the inverted index *)
-          Repro_obs.Ops.brute ~n:nn ~query:q req
-      | _ -> Hub_index.eval ?pool (Lazy.force idx) ~hubs:h ~query:q req
-  end in
-  (module B : Repro_obs.Backend.S_ops)
+    (if i.path = "" then "<bytes>" else i.path)
+    i.n i.total i.block i.bytes (cache_label t)

@@ -33,33 +33,32 @@
     layout, and restores the exact per-entry guarantees of
     {!Flat_hub.of_raw}.
 
+    The cache, batching, backend and ops layers are
+    {!Label_store.Make} over the decoded header and the blob; this
+    module keeps the layout, its validation, the encoder and the
+    block-skipping merge.
+
     The encoder is canonical: [to_bytes] of a given store is a single
     deterministic byte string, so save → load → save round-trips
     byte-for-byte (pinned by a golden sha256 in the test suite). *)
 
 type t
 
-type error =
-  | Io of string  (** open/stat/map failed (missing file, EACCES, ...) *)
-  | Not_regular of string  (** not a regular file (directory, device, socket) *)
-  | Too_short of { bytes : int }  (** smaller than magic + header *)
-  | Misaligned of { bytes : int }  (** size not a whole number of 8-byte words *)
-  | Bad_magic  (** first 8 bytes are not ["HUBFLAT2"] *)
+type error = Label_store.error =
+  | Io of string
+  | Not_regular of string
+  | Too_short of { bytes : int }
+  | Misaligned of { bytes : int }
+  | Bad_magic
   | Bad_header of { word : int; msg : string }
-      (** [n]/[total]/[block]/[blob_len] negative, overflowing a native
-          int, [block < 1] or [n >= 2^31]; [word] is the byte offset of
-          the offending word *)
   | Length_mismatch of { expected_words : int; actual_words : int }
-      (** file length disagrees with the header *)
   | Bad_offsets of { vertex : int; msg : string }
-      (** an offset table not monotone, or a vertex region too small
-          for its skip table *)
   | Bad_entry of { vertex : int; entry : int; msg : string }
-      (** deep scan only: hostile varint (truncated, overlong, or
-          overflowing a native int), hub out of range / unsorted,
-          negative distance, skip-table mismatch, or trailing bytes *)
+(** The typed load errors shared with the other mapped store (see
+    {!Label_store.error} for each case). *)
 
 val error_to_string : error -> string
+(** One line, opening with ["Compact_hub: "]. *)
 
 val magic : string
 (** The 8-byte magic ["HUBFLAT2"] that opens every compact file. *)
@@ -137,10 +136,7 @@ val query : t -> int -> int -> int
     @raise Invalid_argument on out-of-range endpoints. *)
 
 val query_many : ?pool:Repro_par.Pool.t -> t -> (int * int) array -> int array
-(** Batched queries with the same contract as {!Flat_hub.query_many}:
-    equals the query loop for any job count; cache-free stores fan out
-    across the pool (the blob is read-only), cached stores stay on the
-    calling domain and merge hit/miss counts once per batch.
+(** Batched queries with the contract of {!Label_store.Make}.
     @raise Invalid_argument if any endpoint is out of range. *)
 
 val cache_stats : t -> (int * int) option
@@ -155,13 +151,13 @@ val pp : Format.formatter -> t -> unit
 
 val backend : t -> Repro_obs.Backend.t
 (** The store as a uniform serving backend (name
-    ["compact-hub-labeling"]). Traces mirror {!Flat_hub.backend}:
-    [entries_scanned = |S(u)| + |S(v)|], cache hit/miss flags on a
-    cached store with [entries_scanned = 0] on a hit. *)
+    ["compact-hub-labeling"]), traced as {!Label_store.Make}. *)
 
 val ops : ?pool:Repro_par.Pool.t -> t -> Repro_obs.Backend.ops
-(** The store as an ops backend, mirroring {!Flat_hub.ops}: [Dist] /
+(** The store as an ops backend ({!Label_store.Make}): [Dist] /
     [Batch] decode straight off the blob; aggregates run over a lazily
     built shared {!Hub_index} (heap-resident, paid only when an
-    aggregate is first asked for). Byte-identical answers for any job
-    count. *)
+    aggregate is first asked for). *)
+
+val pack : t -> Label_store.packed
+(** The store for the serving layers (kind ["compact"]). *)

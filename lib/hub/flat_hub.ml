@@ -1,29 +1,59 @@
 open Repro_graph
 
-type cache = {
-  slots : int;
-  keys : int array; (* packed unordered pair, or -1 for an empty slot *)
-  values : int array;
-  mutable hits : int;
-  mutable misses : int;
-}
-
-type t = {
+type layout = {
   n : int;
   offsets : int array; (* length n + 1 *)
   data : int array; (* length 2 * offsets.(n); entry i = (data.(2i), data.(2i+1)) *)
-  cache : cache option;
 }
 
-let make_cache = function
-  | 0 -> None
-  | s when s < 0 -> invalid_arg "Flat_hub: cache_slots must be non-negative"
-  | s ->
-      Some
-        { slots = s; keys = Array.make s (-1); values = Array.make s 0;
-          hits = 0; misses = 0 }
+let layout_hubs l v =
+  Array.init
+    (l.offsets.(v + 1) - l.offsets.(v))
+    (fun k ->
+      let e = l.offsets.(v) + k in
+      (l.data.(2 * e), l.data.((2 * e) + 1)))
+
+module Core = Label_store.Make (struct
+  type t = layout
+
+  let module_name = "Flat_hub"
+  let backend_name = "flat-hub-labeling"
+  let kind = "flat"
+  let n l = l.n
+  let size l v = l.offsets.(v + 1) - l.offsets.(v)
+  let hubs = layout_hubs
+  let space_words l = Array.length l.offsets + Array.length l.data
+
+  (* The hot path. Walk the two interleaved runs with raw indices into
+     [data]; bounds are established by the CSR invariants, so unsafe
+     accesses are sound. *)
+  let raw_query l u v =
+    let data = l.data in
+    let i = ref (2 * Array.unsafe_get l.offsets u)
+    and iend = 2 * Array.unsafe_get l.offsets (u + 1)
+    and j = ref (2 * Array.unsafe_get l.offsets v)
+    and jend = 2 * Array.unsafe_get l.offsets (v + 1) in
+    let best = ref Dist.inf in
+    while !i < iend && !j < jend do
+      let ha = Array.unsafe_get data !i and hb = Array.unsafe_get data !j in
+      if ha = hb then begin
+        let d =
+          Dist.add (Array.unsafe_get data (!i + 1)) (Array.unsafe_get data (!j + 1))
+        in
+        if d < !best then best := d;
+        i := !i + 2;
+        j := !j + 2
+      end
+      else if ha < hb then i := !i + 2
+      else j := !j + 2
+    done;
+    !best
+end)
+
+include Core
 
 let of_labels ?(cache_slots = 0) labels =
+  let make = Core.make ~cache_slots in
   Repro_obs.Span.run ~name:"flat-hub.pack" (fun () ->
       let n = Hub_label.n labels in
       let offsets = Array.make (n + 1) 0 in
@@ -42,7 +72,7 @@ let of_labels ?(cache_slots = 0) labels =
       done;
       Repro_obs.Span.count "vertices" n;
       Repro_obs.Span.count "entries" offsets.(n);
-      { n; offsets; data; cache = make_cache cache_slots })
+      make { n; offsets; data })
 
 let of_raw ~n ~offsets ~data =
   let fail msg = invalid_arg ("Flat_hub.of_raw: " ^ msg) in
@@ -64,179 +94,22 @@ let of_raw ~n ~offsets ~data =
         fail "hubs must be strictly increasing within a vertex"
     done
   done;
-  { n; offsets; data; cache = None }
+  Core.make ~cache_slots:0 { n; offsets; data }
 
-let with_cache ~cache_slots t = { t with cache = make_cache cache_slots }
-let raw t = (t.offsets, t.data)
-let n t = t.n
+let raw t =
+  let l = format t in
+  (l.offsets, l.data)
 
-let size t v =
-  if v < 0 || v >= t.n then invalid_arg "Flat_hub.size";
-  t.offsets.(v + 1) - t.offsets.(v)
+let total_size t =
+  let l = format t in
+  l.offsets.(l.n)
 
-let total_size t = t.offsets.(t.n)
+let to_labels t =
+  let l = format t in
+  Hub_label.of_arrays ~n:l.n (Array.init l.n (layout_hubs l))
 
-let hubs t v =
-  if v < 0 || v >= t.n then invalid_arg "Flat_hub.hubs";
-  Array.init
-    (t.offsets.(v + 1) - t.offsets.(v))
-    (fun k ->
-      let e = t.offsets.(v) + k in
-      (t.data.(2 * e), t.data.((2 * e) + 1)))
-
-let to_labels t = Hub_label.of_arrays ~n:t.n (Array.init t.n (hubs t))
-
-(* The hot path. Walk the two interleaved runs with raw indices into
-   [data]; bounds are established by the CSR invariants, so unsafe
-   accesses are sound. *)
-let raw_query t u v =
-  let data = t.data in
-  let i = ref (2 * Array.unsafe_get t.offsets u)
-  and iend = 2 * Array.unsafe_get t.offsets (u + 1)
-  and j = ref (2 * Array.unsafe_get t.offsets v)
-  and jend = 2 * Array.unsafe_get t.offsets (v + 1) in
-  let best = ref Dist.inf in
-  while !i < iend && !j < jend do
-    let ha = Array.unsafe_get data !i and hb = Array.unsafe_get data !j in
-    if ha = hb then begin
-      let d =
-        Dist.add (Array.unsafe_get data (!i + 1)) (Array.unsafe_get data (!j + 1))
-      in
-      if d < !best then best := d;
-      i := !i + 2;
-      j := !j + 2
-    end
-    else if ha < hb then i := !i + 2
-    else j := !j + 2
-  done;
-  !best
-
-let cached_query t c u v =
-  let key = if u <= v then (u * t.n) + v else (v * t.n) + u in
-  let slot = key mod c.slots in
-  if Array.unsafe_get c.keys slot = key then begin
-    c.hits <- c.hits + 1;
-    Array.unsafe_get c.values slot
-  end
-  else begin
-    c.misses <- c.misses + 1;
-    let d = raw_query t u v in
-    Array.unsafe_set c.keys slot key;
-    Array.unsafe_set c.values slot d;
-    d
-  end
-
-let dispatch t u v =
-  match t.cache with None -> raw_query t u v | Some c -> cached_query t c u v
-
-let query t u v =
-  if u < 0 || u >= t.n || v < 0 || v >= t.n then invalid_arg "Flat_hub.query";
-  dispatch t u v
-
-let query_many ?pool t pairs =
-  Array.iter
-    (fun (u, v) ->
-      if u < 0 || u >= t.n || v < 0 || v >= t.n then
-        invalid_arg "Flat_hub.query_many")
-    pairs;
-  let m = Array.length pairs in
-  let out = Array.make m 0 in
-  (match t.cache with
-  | Some c ->
-      (* The direct-mapped cache is not domain-safe — concurrent writes
-         could tear a key/value pair — so cached batches stay on the
-         calling domain. Hits and misses accumulate in locals and merge
-         once at the end: the stats counters see a batch as one atomic
-         update even if another domain reads them mid-batch. *)
-      let hits = ref 0 and misses = ref 0 in
-      for k = 0 to m - 1 do
-        let u, v = Array.unsafe_get pairs k in
-        let key = if u <= v then (u * t.n) + v else (v * t.n) + u in
-        let slot = key mod c.slots in
-        let d =
-          if Array.unsafe_get c.keys slot = key then begin
-            incr hits;
-            Array.unsafe_get c.values slot
-          end
-          else begin
-            incr misses;
-            let d = raw_query t u v in
-            Array.unsafe_set c.keys slot key;
-            Array.unsafe_set c.values slot d;
-            d
-          end
-        in
-        Array.unsafe_set out k d
-      done;
-      c.hits <- c.hits + !hits;
-      c.misses <- c.misses + !misses
-  | None ->
-      (* cache-free stores are immutable: fan the batch out *)
-      let pool =
-        match pool with Some p -> p | None -> Repro_par.Pool.default ()
-      in
-      Repro_par.Pool.parallel_for pool ~n:m (fun ~slot:_ lo hi ->
-          for k = lo to hi - 1 do
-            let u, v = Array.unsafe_get pairs k in
-            Array.unsafe_set out k (raw_query t u v)
-          done));
-  out
-
-let cache_stats t =
-  match t.cache with None -> None | Some c -> Some (c.hits, c.misses)
-
-let equal a b = a.n = b.n && a.offsets = b.offsets && a.data = b.data
+let equal a b = format a = format b
 
 let pp ppf t =
-  Format.fprintf ppf "flat_hub(n=%d, total=%d, cache=%s)" t.n (total_size t)
-    (match t.cache with
-    | None -> "none"
-    | Some c -> string_of_int c.slots ^ " slots")
-
-let backend_name = "flat-hub-labeling"
-let space_words t = Array.length t.offsets + Array.length t.data
-
-let backend t =
-  let detailed u v =
-    if u < 0 || u >= t.n || v < 0 || v >= t.n then invalid_arg "Flat_hub.query";
-    match t.cache with
-    | None ->
-        let d = raw_query t u v in
-        ( d,
-          Repro_obs.Trace.make
-            ~entries_scanned:(size t u + size t v)
-            ~source:backend_name ~u ~v ~dist:d () )
-    | Some c ->
-        let hits0 = c.hits in
-        let d = cached_query t c u v in
-        let cache =
-          if c.hits > hits0 then Repro_obs.Trace.Hit else Repro_obs.Trace.Miss
-        in
-        let scanned =
-          match cache with
-          | Repro_obs.Trace.Hit -> 0
-          | _ -> size t u + size t v
-        in
-        ( d,
-          Repro_obs.Trace.make ~entries_scanned:scanned ~cache
-            ~source:backend_name ~u ~v ~dist:d () )
-  in
-  Repro_obs.Backend.make ~name:backend_name ~space_words:(space_words t)
-    ~detailed (query t)
-
-let ops ?pool t =
-  let module Base = (val backend t : Repro_obs.Backend.S) in
-  let q = query t and h = hubs t and nn = t.n in
-  let idx = lazy (Hub_index.build ~n:nn ~hubs:h) in
-  let module B = struct
-    include Base
-
-    let op req =
-      match req with
-      | Repro_obs.Ops.Dist _ | Repro_obs.Ops.Batch _ ->
-          (* point queries use the two-pointer merge directly and never
-             force the inverted index *)
-          Repro_obs.Ops.brute ~n:nn ~query:q req
-      | _ -> Hub_index.eval ?pool (Lazy.force idx) ~hubs:h ~query:q req
-  end in
-  (module B : Repro_obs.Backend.S_ops)
+  Format.fprintf ppf "flat_hub(n=%d, total=%d, cache=%s)" (n t) (total_size t)
+    (cache_label t)

@@ -19,11 +19,11 @@
     sorted merge intersection as {!Hub_label.query}, but over
     contiguous unboxed ints.
 
-    An optional {e direct-mapped cache} memoises recently answered
-    pairs: [cache_slots] slots, keyed by the unordered pair, each new
-    answer evicting whatever previously hashed to its slot. Queries on
-    a cached store mutate the cache, so a cached [t] must not be shared
-    across threads without synchronisation. *)
+    The bounds checks, the optional direct-mapped distance cache,
+    [query_many], [backend] and [ops] are {!Label_store.Make} over this
+    layout; the layout contributes only the merge loop. A cached store
+    mutates its cache on every query, so a cached [t] must not be
+    shared across threads without synchronisation. *)
 
 type t
 
@@ -73,16 +73,11 @@ val query : t -> int -> int -> int
     @raise Invalid_argument on out-of-range endpoints. *)
 
 val query_many : ?pool:Repro_par.Pool.t -> t -> (int * int) array -> int array
-(** Batched queries: validates all endpoints up front, then answers
-    with the per-call overhead amortised away. [query_many t ps] equals
-    [Array.map (fun (u, v) -> query t u v) ps] for any job count.
-
-    On a cache-free store the batch fans out across the pool (default
-    {!Repro_par.Pool.default}) — the packed arrays are read-only. A
-    cached store answers on the calling domain (the direct-mapped cache
-    is not domain-safe), accumulating hit/miss counts locally and
-    merging them into {!cache_stats} once at the end, so the counters
-    advance atomically per batch.
+(** Batched queries: validates all endpoints up front, then answers.
+    [query_many t ps] equals [Array.map (fun (u, v) -> query t u v) ps]
+    for any job count; a cache-free store fans out across the pool
+    (default {!Repro_par.Pool.default}), a cached one stays on the
+    calling domain (see {!Label_store.Make}).
     @raise Invalid_argument if any endpoint is out of range. *)
 
 val cache_stats : t -> (int * int) option
@@ -106,8 +101,9 @@ val backend : t -> Repro_obs.Backend.t
 val ops : ?pool:Repro_par.Pool.t -> t -> Repro_obs.Backend.ops
 (** The store as an ops backend: [Dist] / [Batch] go through the
     two-pointer point query; every aggregate request runs over a
-    shared {!Hub_index} built lazily on first aggregate use and
-    reused for the backend's lifetime. [Many_to_many] and
-    [Diameter_radius] fan out across [pool] (default
-    {!Repro_par.Pool.default}); answers are byte-identical for any
-    job count. *)
+    shared {!Hub_index} built lazily on first aggregate use (see
+    {!Label_store.Make}). Answers are byte-identical for any job
+    count. *)
+
+val pack : t -> Label_store.packed
+(** The store for the serving layers (kind ["flat"]). *)

@@ -30,9 +30,9 @@ val build : n:int -> hubs:(int -> (int * int) array) -> t
 (** Transpose [n] hubsets ([hubs v] = sorted [(hub, dist)] pairs of
     vertex [v]) into the inverted index. O(total label size) time and
     space, done once and reused across every subsequent operation.
-    The [hubs] accessor works for every store ({!Hub_label.hubs},
-    {!Flat_hub.hubs}, {!Mmap_hub.hubs}); the stores wrap this module
-    into their own [ops] backends.
+    The [hubs] accessor works for every store ({!Hub_label.hubs} and
+    the packed stores' [hubs]); {!Label_store.Make} wraps this module
+    into the [ops] backend of every packed store.
     @raise Invalid_argument if a hub id falls outside [[0, n)]. *)
 
 val n : t -> int

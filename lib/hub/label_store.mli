@@ -1,0 +1,167 @@
+(** The one serving core shared by every packed hub-label store.
+
+    The repository keeps one labeling in three encodings: the heap
+    [HUBFLAT1] arrays of {!Flat_hub}, the same bytes mapped in place by
+    {!Mmap_hub}, and the compressed [HUBFLAT2] blob of {!Compact_hub}.
+    They differ only in layout, validation and the inner merge loop.
+    Everything a serving layer needs on top of that — bounds-checked
+    [query] / [size] / [hubs], the direct-mapped distance cache,
+    batched [query_many], the traced {!Repro_obs.Backend.S} wrapper and
+    the [ops] evaluator over a lazy {!Hub_index} — is written once
+    here, by {!Make}, over a small {!FORMAT} signature.
+
+    {!packed} erases the format: it is the value the serving layers
+    ({!Repro_serve.Resilient_oracle.store_primary}, the shard worker,
+    the CLI) take, whatever the store kind. *)
+
+(** {1 Typed load errors}
+
+    Shared by the two stores that open a file and validate it in place
+    ({!Mmap_hub}, {!Compact_hub}); each re-exports this type and
+    renders it under its own module name. *)
+
+type error =
+  | Io of string  (** open/stat/map failed (missing file, EACCES, ...) *)
+  | Not_regular of string  (** not a regular file (directory, device, socket) *)
+  | Too_short of { bytes : int }  (** smaller than magic + header *)
+  | Misaligned of { bytes : int }  (** size not a whole number of 8-byte words *)
+  | Bad_magic  (** the first 8 bytes are not the format's magic *)
+  | Bad_header of { word : int; msg : string }
+      (** a header word negative, overflowing a native int or out of
+          the format's range; [word] is its byte offset *)
+  | Length_mismatch of { expected_words : int; actual_words : int }
+      (** file length disagrees with the header *)
+  | Bad_offsets of { vertex : int; msg : string }
+      (** an offset table not monotone from 0 to its bound, or a vertex
+          region too small for its fixed-position fields *)
+  | Bad_entry of { vertex : int; entry : int; msg : string }
+      (** deep scan only: a malformed entry (hub out of range or
+          unsorted, bad distance, hostile varint, ...) *)
+
+val error_to_string : prefix:string -> error -> string
+(** One line, opening with ["<prefix>: "]. *)
+
+val header_int : index:int -> int64 -> (int, error) result
+(** Check header word [index] (value given) is a non-negative native
+    int; [Bad_header] names its byte offset otherwise. *)
+
+val map_file :
+  ('a, 'b) Bigarray.kind ->
+  min_bytes:int ->
+  string ->
+  (('a, 'b, Bigarray.c_layout) Bigarray.Array1.t * int, error) result
+(** Open → fstat → map read-only → close. Returns the mapping and the
+    file's size in bytes. A non-regular file, a file under [min_bytes]
+    or one that is not a whole number of 8-byte words is rejected
+    before mapping; every system error becomes [Io]. The descriptor is
+    closed on every path (the mapping survives the close). *)
+
+(** {1 The format signature} *)
+
+module type FORMAT = sig
+  type t
+  (** The format's own record: layout and backing storage. *)
+
+  val module_name : string
+  (** Prefix of the [Invalid_argument] texts, e.g. ["Mmap_hub"] gives
+      [Invalid_argument "Mmap_hub.query"]. *)
+
+  val backend_name : string
+  (** The backend and metric name, e.g. ["mmap-hub-labeling"]. *)
+
+  val kind : string
+  (** Short store name used by snapshots and CLI flags: ["flat"],
+      ["mmap"] or ["compact"]. *)
+
+  val n : t -> int
+
+  val size : t -> int -> int
+  (** Hubset size of a vertex; the vertex is known to be in range. *)
+
+  val hubs : t -> int -> (int * int) array
+  (** Fresh sorted [(hub, dist)] pairs; the vertex is in range. *)
+
+  val space_words : t -> int
+
+  val raw_query : t -> int -> int -> int
+  (** The format's monomorphic merge loop, with both endpoints known to
+      be in range; {!Repro_graph.Dist.inf} when the hubsets are
+      disjoint. *)
+end
+
+(** {1 The format-erased store} *)
+
+type packed = {
+  kind : string;  (** {!FORMAT.kind} *)
+  n : int;
+  size : int -> int;  (** bounds-checked hubset size *)
+  with_cache : cache_slots:int -> packed;
+      (** the same store with a fresh cache of that many slots ([0]
+          removes it) *)
+  cache_stats : unit -> (int * int) option;
+  backend : Repro_obs.Backend.t;
+  ops : Repro_obs.Backend.ops;
+      (** over the default pool; the {!Hub_index} behind aggregates is
+          built on first use and shared by every user of this value *)
+}
+
+(** {1 The serving core} *)
+
+module Make (F : FORMAT) : sig
+  type t
+
+  val make : cache_slots:int -> F.t -> t
+  (** Staged: the slot count is checked when [make ~cache_slots] is
+      applied, so a loader can reject it before touching a file. Each
+      store made gets its own cache.
+      @raise Invalid_argument if [cache_slots < 0]. *)
+
+  val format : t -> F.t
+
+  val with_cache : cache_slots:int -> t -> t
+  (** The same format value with a fresh direct-mapped cache ([0]
+      removes it). The format's storage is shared, not copied.
+      @raise Invalid_argument if [cache_slots < 0]. *)
+
+  val cache_label : t -> string
+  (** ["none"] or ["<slots> slots"], for printers. *)
+
+  val n : t -> int
+
+  val size : t -> int -> int
+  (** @raise Invalid_argument on an out-of-range vertex. *)
+
+  val hubs : t -> int -> (int * int) array
+  (** @raise Invalid_argument on an out-of-range vertex. *)
+
+  val query : t -> int -> int -> int
+  (** The format's merge; consults and fills the cache when one was
+      configured. A cache hit never calls into the format.
+      @raise Invalid_argument on out-of-range endpoints. *)
+
+  val query_many : ?pool:Repro_par.Pool.t -> t -> (int * int) array -> int array
+  (** Validates every endpoint up front, then answers. Equals the
+      [query] loop for any job count. A cache-free store fans the batch
+      out across [pool] (default {!Repro_par.Pool.default}); a cached
+      store answers on the calling domain, because the cache is not
+      domain-safe, and merges its hit/miss counts once at the end.
+      @raise Invalid_argument if any endpoint is out of range. *)
+
+  val cache_stats : t -> (int * int) option
+  (** [Some (hits, misses)] for a cached store, [None] otherwise. *)
+
+  val space_words : t -> int
+
+  val backend : t -> Repro_obs.Backend.t
+  (** Named {!FORMAT.backend_name}. Traces report [|S(u)| + |S(v)|] as
+      [entries_scanned]; on a cached store they flag [Hit] or [Miss],
+      and a hit scans 0 entries. *)
+
+  val ops : ?pool:Repro_par.Pool.t -> t -> Repro_obs.Backend.ops
+  (** [Dist] and [Batch] run the point query and never build the
+      index; every aggregate runs over one {!Hub_index} built lazily on
+      first use. [Many_to_many] and [Diameter_radius] fan out across
+      [pool]; answers are byte-identical for any job count. *)
+
+  val pack : t -> packed
+end

@@ -12,7 +12,7 @@ module A1 = Bigarray.Array1
 
 type words = (int64, Bigarray.int64_elt, Bigarray.c_layout) A1.t
 
-type error =
+type error = Label_store.error =
   | Io of string
   | Not_regular of string
   | Too_short of { bytes : int }
@@ -23,94 +23,21 @@ type error =
   | Bad_offsets of { vertex : int; msg : string }
   | Bad_entry of { vertex : int; entry : int; msg : string }
 
-let error_to_string = function
-  | Io msg -> "Mmap_hub: " ^ msg
-  | Not_regular path -> "Mmap_hub: not a regular file: " ^ path
-  | Too_short { bytes } ->
-      Printf.sprintf "Mmap_hub: %d bytes is too short for magic + header" bytes
-  | Misaligned { bytes } ->
-      Printf.sprintf "Mmap_hub: %d bytes is not a whole number of words" bytes
-  | Bad_magic -> "Mmap_hub: bad magic"
-  | Bad_header { word; msg } ->
-      Printf.sprintf "Mmap_hub: header word at byte %d: %s" word msg
-  | Length_mismatch { expected_words; actual_words } ->
-      Printf.sprintf
-        "Mmap_hub: length disagrees with header (expected %d words, file has %d)"
-        expected_words actual_words
-  | Bad_offsets { vertex; msg } ->
-      Printf.sprintf "Mmap_hub: offset of vertex %d: %s" vertex msg
-  | Bad_entry { vertex; entry; msg } ->
-      Printf.sprintf "Mmap_hub: entry %d of vertex %d: %s" entry vertex msg
+let error_to_string = Label_store.error_to_string ~prefix:"Mmap_hub"
 
 exception Bad of error
 
-type cache = {
-  slots : int;
-  keys : int array; (* packed unordered pair, or -1 for an empty slot *)
-  values : int array;
-  mutable hits : int;
-  mutable misses : int;
-}
-
-type t = {
+type mapping = {
   n : int;
   total : int;
   words : words;
   path : string;
   bytes : int;
-  cache : cache option;
 }
-
-let make_cache = function
-  | 0 -> None
-  | s when s < 0 -> invalid_arg "Mmap_hub: cache_slots must be non-negative"
-  | s ->
-      Some
-        { slots = s; keys = Array.make s (-1); values = Array.make s 0;
-          hits = 0; misses = 0 }
 
 let fits_int x = Int64.of_int (Int64.to_int x) = x
 let magic_word = String.get_int64_le Hub_io.packed_magic 0
 let min_bytes = 8 * 3 (* magic + n + total *)
-
-(* open → fstat → map → close, every failure mode funnelled into a
-   typed error; the fd is closed on all paths (the mapping survives). *)
-let open_and_map path =
-  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
-  | exception Unix.Unix_error (err, _, _) ->
-      Error (Io (path ^ ": " ^ Unix.error_message err))
-  | fd ->
-      let close () = try Unix.close fd with Unix.Unix_error _ -> () in
-      let finish r = close (); r in
-      (match Unix.fstat fd with
-      | exception Unix.Unix_error (err, _, _) ->
-          finish (Error (Io (path ^ ": fstat: " ^ Unix.error_message err)))
-      | st ->
-          if st.Unix.st_kind <> Unix.S_REG then finish (Error (Not_regular path))
-          else
-            let bytes = st.Unix.st_size in
-            if bytes < min_bytes then finish (Error (Too_short { bytes }))
-            else if bytes mod 8 <> 0 then finish (Error (Misaligned { bytes }))
-            else
-              match
-                Bigarray.array1_of_genarray
-                  (Unix.map_file fd Bigarray.int64 Bigarray.c_layout false
-                     [| bytes / 8 |])
-              with
-              | words -> finish (Ok (words, bytes))
-              | exception Unix.Unix_error (err, _, _) ->
-                  finish (Error (Io (path ^ ": map: " ^ Unix.error_message err)))
-              | exception Sys_error msg -> finish (Error (Io msg)))
-
-let header_word (words : words) ~index =
-  let x = A1.get words index in
-  let byte = 8 * index in
-  if not (fits_int x) then
-    Error (Bad_header { word = byte; msg = "overflows native int" })
-  else
-    let v = Int64.to_int x in
-    if v < 0 then Error (Bad_header { word = byte; msg = "negative" })
-    else Ok v
 
 (* O(n): monotone from 0 to [total]. Every data index the query path
    derives is [2 * offset] for a validated offset, so this check alone
@@ -136,17 +63,70 @@ let validate_offsets (words : words) ~n ~total =
     Ok ()
   with Bad e -> Error e
 
-let off t v = Int64.to_int (A1.unsafe_get t.words (3 + v))
+let off m v = Int64.to_int (A1.unsafe_get m.words (3 + v))
+
+module Core = Label_store.Make (struct
+  type t = mapping
+
+  let module_name = "Mmap_hub"
+  let backend_name = "mmap-hub-labeling"
+  let kind = "mmap"
+  let n m = m.n
+  let size m v = off m (v + 1) - off m v
+
+  let hubs m v =
+    let base = 4 + m.n in
+    Array.init
+      (off m (v + 1) - off m v)
+      (fun k ->
+        let e = off m v + k in
+        ( Int64.to_int (A1.get m.words (base + (2 * e))),
+          Int64.to_int (A1.get m.words (base + (2 * e) + 1)) ))
+
+  let space_words m = m.n + 1 + (2 * m.total)
+
+  (* The hot path: the same two-pointer merge as Flat_hub's, with the
+     interleaved run walked directly in the mapping. Indices are in
+     mapping words; validated offsets bound them, so unsafe gets are
+     sound even on a shallow-validated file. *)
+  let raw_query m u v =
+    let words = m.words in
+    let base = 4 + m.n in
+    let i = ref (base + (2 * off m u))
+    and iend = base + (2 * off m (u + 1))
+    and j = ref (base + (2 * off m v))
+    and jend = base + (2 * off m (v + 1)) in
+    let best = ref Dist.inf in
+    while !i < iend && !j < jend do
+      let ha = Int64.to_int (A1.unsafe_get words !i)
+      and hb = Int64.to_int (A1.unsafe_get words !j) in
+      if ha = hb then begin
+        let d =
+          Dist.add
+            (Int64.to_int (A1.unsafe_get words (!i + 1)))
+            (Int64.to_int (A1.unsafe_get words (!j + 1)))
+        in
+        if d < !best then best := d;
+        i := !i + 2;
+        j := !j + 2
+      end
+      else if ha < hb then i := !i + 2
+      else j := !j + 2
+    done;
+    !best
+end)
+
+include Core
 
 (* O(total): the full per-entry contract of Flat_hub.of_raw. *)
-let validate_entries t =
-  let base = 4 + t.n in
-  let n64 = Int64.of_int t.n in
+let validate_mapping m =
+  let base = 4 + m.n in
+  let n64 = Int64.of_int m.n in
   try
-    for v = 0 to t.n - 1 do
+    for v = 0 to m.n - 1 do
       let prev = ref (-1) in
-      for e = off t v to off t (v + 1) - 1 do
-        let h64 = A1.unsafe_get t.words (base + (2 * e)) in
+      for e = off m v to off m (v + 1) - 1 do
+        let h64 = A1.unsafe_get m.words (base + (2 * e)) in
         if h64 < 0L || h64 >= n64 then
           raise (Bad (Bad_entry { vertex = v; entry = e; msg = "hub out of range" }));
         let h = Int64.to_int h64 in
@@ -157,7 +137,7 @@ let validate_entries t =
                   { vertex = v; entry = e;
                     msg = "hubs must be strictly increasing" }));
         prev := h;
-        let d64 = A1.unsafe_get t.words (base + (2 * e) + 1) in
+        let d64 = A1.unsafe_get m.words (base + (2 * e) + 1) in
         if d64 < 0L || not (fits_int d64) then
           raise
             (Bad (Bad_entry { vertex = v; entry = e; msg = "bad distance" }))
@@ -166,17 +146,19 @@ let validate_entries t =
     Ok ()
   with Bad e -> Error e
 
+let validate_entries t = validate_mapping (format t)
+
 let load_res ?(cache_slots = 0) ?(deep = false) path =
-  let cache = make_cache cache_slots in
+  let make = Core.make ~cache_slots in
   Repro_obs.Span.run ~name:"mmap-hub.load" (fun () ->
       let ( let* ) = Result.bind in
       let res =
-        let* words, bytes = open_and_map path in
+        let* words, bytes = Label_store.map_file Bigarray.int64 ~min_bytes path in
         Repro_obs.Span.count "bytes" bytes;
         if A1.get words 0 <> magic_word then Error Bad_magic
         else
-          let* n = header_word words ~index:1 in
-          let* total = header_word words ~index:2 in
+          let* n = Label_store.header_int ~index:1 (A1.get words 1) in
+          let* total = Label_store.header_int ~index:2 (A1.get words 2) in
           let actual_words = bytes / 8 in
           (* saturate so 3 + (n+1) + 2*total cannot overflow: any
              n/total beyond the word count already disagrees with the
@@ -189,9 +171,9 @@ let load_res ?(cache_slots = 0) ?(deep = false) path =
             Error (Length_mismatch { expected_words; actual_words })
           else
             let* () = validate_offsets words ~n ~total in
-            let t = { n; total; words; path; bytes; cache } in
-            let* () = if deep then validate_entries t else Ok () in
-            Ok t
+            let m = { n; total; words; path; bytes } in
+            let* () = if deep then validate_mapping m else Ok () in
+            Ok (make m)
       in
       (match res with
       | Ok _ -> ()
@@ -202,190 +184,20 @@ let load_res ?(cache_slots = 0) ?(deep = false) path =
               ("msg", Repro_obs.Events.Str (error_to_string e)) ]);
       res)
 
-let with_cache ~cache_slots t = { t with cache = make_cache cache_slots }
-let n t = t.n
-let total_size t = t.total
-let path t = t.path
-let bytes t = t.bytes
-
-let size t v =
-  if v < 0 || v >= t.n then invalid_arg "Mmap_hub.size";
-  off t (v + 1) - off t v
-
-let hubs t v =
-  if v < 0 || v >= t.n then invalid_arg "Mmap_hub.hubs";
-  let base = 4 + t.n in
-  Array.init
-    (off t (v + 1) - off t v)
-    (fun k ->
-      let e = off t v + k in
-      ( Int64.to_int (A1.get t.words (base + (2 * e))),
-        Int64.to_int (A1.get t.words (base + (2 * e) + 1)) ))
+let total_size t = (format t).total
+let path t = (format t).path
+let bytes t = (format t).bytes
 
 let to_flat t =
-  let offsets = Array.init (t.n + 1) (off t) in
-  let base = 4 + t.n in
+  let m = format t in
+  let offsets = Array.init (m.n + 1) (off m) in
+  let base = 4 + m.n in
   let data =
-    Array.init (2 * t.total) (fun j ->
-        Int64.to_int (A1.get t.words (base + j)))
+    Array.init (2 * m.total) (fun j -> Int64.to_int (A1.get m.words (base + j)))
   in
-  Flat_hub.of_raw ~n:t.n ~offsets ~data
-
-(* The hot path: the same two-pointer merge as Flat_hub.raw_query, with
-   the interleaved run walked directly in the mapping. Indices are in
-   mapping words; validated offsets bound them, so unsafe gets are
-   sound even on a shallow-validated file. *)
-let raw_query t u v =
-  let words = t.words in
-  let base = 4 + t.n in
-  let i = ref (base + (2 * off t u))
-  and iend = base + (2 * off t (u + 1))
-  and j = ref (base + (2 * off t v))
-  and jend = base + (2 * off t (v + 1)) in
-  let best = ref Dist.inf in
-  while !i < iend && !j < jend do
-    let ha = Int64.to_int (A1.unsafe_get words !i)
-    and hb = Int64.to_int (A1.unsafe_get words !j) in
-    if ha = hb then begin
-      let d =
-        Dist.add
-          (Int64.to_int (A1.unsafe_get words (!i + 1)))
-          (Int64.to_int (A1.unsafe_get words (!j + 1)))
-      in
-      if d < !best then best := d;
-      i := !i + 2;
-      j := !j + 2
-    end
-    else if ha < hb then i := !i + 2
-    else j := !j + 2
-  done;
-  !best
-
-let cached_query t c u v =
-  let key = if u <= v then (u * t.n) + v else (v * t.n) + u in
-  let slot = key mod c.slots in
-  if Array.unsafe_get c.keys slot = key then begin
-    c.hits <- c.hits + 1;
-    Array.unsafe_get c.values slot
-  end
-  else begin
-    c.misses <- c.misses + 1;
-    let d = raw_query t u v in
-    Array.unsafe_set c.keys slot key;
-    Array.unsafe_set c.values slot d;
-    d
-  end
-
-let dispatch t u v =
-  match t.cache with None -> raw_query t u v | Some c -> cached_query t c u v
-
-let query t u v =
-  if u < 0 || u >= t.n || v < 0 || v >= t.n then invalid_arg "Mmap_hub.query";
-  dispatch t u v
-
-let query_many ?pool t pairs =
-  Array.iter
-    (fun (u, v) ->
-      if u < 0 || u >= t.n || v < 0 || v >= t.n then
-        invalid_arg "Mmap_hub.query_many")
-    pairs;
-  let m = Array.length pairs in
-  let out = Array.make m 0 in
-  (match t.cache with
-  | Some c ->
-      (* Same contract as Flat_hub.query_many: the direct-mapped cache
-         is not domain-safe, so cached batches stay on the calling
-         domain with hit/miss merged once at the end. *)
-      let hits = ref 0 and misses = ref 0 in
-      for k = 0 to m - 1 do
-        let u, v = Array.unsafe_get pairs k in
-        let key = if u <= v then (u * t.n) + v else (v * t.n) + u in
-        let slot = key mod c.slots in
-        let d =
-          if Array.unsafe_get c.keys slot = key then begin
-            incr hits;
-            Array.unsafe_get c.values slot
-          end
-          else begin
-            incr misses;
-            let d = raw_query t u v in
-            Array.unsafe_set c.keys slot key;
-            Array.unsafe_set c.values slot d;
-            d
-          end
-        in
-        Array.unsafe_set out k d
-      done;
-      c.hits <- c.hits + !hits;
-      c.misses <- c.misses + !misses
-  | None ->
-      (* the mapping is read-only: fan the batch out *)
-      let pool =
-        match pool with Some p -> p | None -> Repro_par.Pool.default ()
-      in
-      Repro_par.Pool.parallel_for pool ~n:m (fun ~slot:_ lo hi ->
-          for k = lo to hi - 1 do
-            let u, v = Array.unsafe_get pairs k in
-            Array.unsafe_set out k (raw_query t u v)
-          done));
-  out
-
-let cache_stats t =
-  match t.cache with None -> None | Some c -> Some (c.hits, c.misses)
-
-let space_words t = t.n + 1 + (2 * t.total)
+  Flat_hub.of_raw ~n:m.n ~offsets ~data
 
 let pp ppf t =
-  Format.fprintf ppf "mmap_hub(%s, n=%d, total=%d, cache=%s)" t.path t.n
-    t.total
-    (match t.cache with
-    | None -> "none"
-    | Some c -> string_of_int c.slots ^ " slots")
-
-let backend_name = "mmap-hub-labeling"
-
-let backend t =
-  let detailed u v =
-    if u < 0 || u >= t.n || v < 0 || v >= t.n then
-      invalid_arg "Mmap_hub.query";
-    match t.cache with
-    | None ->
-        let d = raw_query t u v in
-        ( d,
-          Repro_obs.Trace.make
-            ~entries_scanned:(size t u + size t v)
-            ~source:backend_name ~u ~v ~dist:d () )
-    | Some c ->
-        let hits0 = c.hits in
-        let d = cached_query t c u v in
-        let cache =
-          if c.hits > hits0 then Repro_obs.Trace.Hit else Repro_obs.Trace.Miss
-        in
-        let scanned =
-          match cache with
-          | Repro_obs.Trace.Hit -> 0
-          | _ -> size t u + size t v
-        in
-        ( d,
-          Repro_obs.Trace.make ~entries_scanned:scanned ~cache
-            ~source:backend_name ~u ~v ~dist:d () )
-  in
-  Repro_obs.Backend.make ~name:backend_name ~space_words:(space_words t)
-    ~detailed (query t)
-
-let ops ?pool t =
-  let module Base = (val backend t : Repro_obs.Backend.S) in
-  let q = query t and h = hubs t and nn = t.n in
-  let idx = lazy (Hub_index.build ~n:nn ~hubs:h) in
-  let module B = struct
-    include Base
-
-    let op req =
-      match req with
-      | Repro_obs.Ops.Dist _ | Repro_obs.Ops.Batch _ ->
-          (* point queries read the mapping directly and never force
-             the inverted index *)
-          Repro_obs.Ops.brute ~n:nn ~query:q req
-      | _ -> Hub_index.eval ?pool (Lazy.force idx) ~hubs:h ~query:q req
-  end in
-  (module B : Repro_obs.Backend.S_ops)
+  let m = format t in
+  Format.fprintf ppf "mmap_hub(%s, n=%d, total=%d, cache=%s)" m.path m.n
+    m.total (cache_label t)

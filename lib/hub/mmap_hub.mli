@@ -31,29 +31,28 @@
 
     The mapping lives until the store is garbage-collected; unlinking
     the file after a successful load is safe (POSIX keeps mapped pages
-    alive). The same optional direct-mapped cache as {!Flat_hub} is
-    available; a cached store mutates heap-side cache arrays only — the
-    mapping itself is never written. *)
+    alive). The cache, batching, backend and ops layers are
+    {!Label_store.Make} over the mapping; a cached store mutates
+    heap-side cache arrays only — the mapping itself is never
+    written. *)
 
 type t
 
-type error =
-  | Io of string  (** open/stat/map failed (missing file, EACCES, ...) *)
-  | Not_regular of string  (** not a regular file (directory, device, socket) *)
-  | Too_short of { bytes : int }  (** smaller than magic + header *)
-  | Misaligned of { bytes : int }  (** size not a whole number of 8-byte words *)
-  | Bad_magic  (** first 8 bytes are not ["HUBFLAT1"] *)
+type error = Label_store.error =
+  | Io of string
+  | Not_regular of string
+  | Too_short of { bytes : int }
+  | Misaligned of { bytes : int }
+  | Bad_magic
   | Bad_header of { word : int; msg : string }
-      (** [n]/[total] negative or overflowing a native int;
-          [word] is the byte offset of the offending word *)
   | Length_mismatch of { expected_words : int; actual_words : int }
-      (** file length disagrees with the header's [n]/[total] *)
   | Bad_offsets of { vertex : int; msg : string }
-      (** offset table not monotone from 0 to [total] *)
   | Bad_entry of { vertex : int; entry : int; msg : string }
-      (** deep scan only: hub out of range / unsorted, or bad distance *)
+(** The typed load errors shared with the other mapped store (see
+    {!Label_store.error} for each case). *)
 
 val error_to_string : error -> string
+(** One line, opening with ["Mmap_hub: "]. *)
 
 val load_res : ?cache_slots:int -> ?deep:bool -> string -> (t, error) result
 (** Map a [HUBFLAT1] file read-only and validate it. [cache_slots]
@@ -105,10 +104,7 @@ val query : t -> int -> int -> int
     @raise Invalid_argument on out-of-range endpoints. *)
 
 val query_many : ?pool:Repro_par.Pool.t -> t -> (int * int) array -> int array
-(** Batched queries with the same contract as {!Flat_hub.query_many}:
-    equals the query loop for any job count; cache-free stores fan out
-    across the pool (the mapping is read-only), cached stores stay on
-    the calling domain and merge hit/miss counts once per batch.
+(** Batched queries with the contract of {!Label_store.Make}.
     @raise Invalid_argument if any endpoint is out of range. *)
 
 val cache_stats : t -> (int * int) option
@@ -123,13 +119,14 @@ val pp : Format.formatter -> t -> unit
 
 val backend : t -> Repro_obs.Backend.t
 (** The store as a uniform serving backend (name
-    ["mmap-hub-labeling"]). Traces mirror {!Flat_hub.backend}:
-    [entries_scanned = |S(u)| + |S(v)|], cache hit/miss flags on a
-    cached store with [entries_scanned = 0] on a hit. *)
+    ["mmap-hub-labeling"]), traced as {!Label_store.Make}. *)
 
 val ops : ?pool:Repro_par.Pool.t -> t -> Repro_obs.Backend.ops
-(** The store as an ops backend, mirroring {!Flat_hub.ops}: [Dist] /
+(** The store as an ops backend ({!Label_store.Make}): [Dist] /
     [Batch] stay on the mapped words; aggregates run over a lazily
-    built shared {!Hub_index} (which lives on the heap — the one
+    built shared {!Hub_index}, which lives on the heap — the one
     departure from the zero-copy budget, paid only when an aggregate
-    is first asked for). Byte-identical answers for any job count. *)
+    is first asked for. *)
+
+val pack : t -> Label_store.packed
+(** The store for the serving layers (kind ["mmap"]). *)

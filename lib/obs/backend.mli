@@ -49,8 +49,9 @@ val make :
 
     The widened signature: a backend that additionally evaluates the
     whole {!Ops.request} algebra (eccentricity, top-k, one-to-many,
-    ...). Fast stores implement [op] natively over an inverted hub
-    index ({!Repro_hub.Flat_hub.ops}, {!Repro_hub.Mmap_hub.ops});
+    ...). The packed hub-label stores implement [op] natively over an
+    inverted hub index (one implementation for all of them,
+    {!Repro_hub.Label_store.Make});
     any plain {!S} joins the surface through {!lift}, which answers
     aggregates by brute-force point queries — slower, never wrong, so
     every backend serves every operation. *)

@@ -113,7 +113,7 @@ let make ?(step_budget = max_int) ?(spot_check_every = 1)
     quarantines = 0;
   }
 
-(* Budget-capped primaries over the two label stores. The scan budget
+(* Budget-capped primaries over the label stores. The scan budget
    caps |S(u)| + |S(v)|; exceeding it raises [Over_budget], which the
    serving loop treats as a clean skip (no strike). *)
 
@@ -136,20 +136,14 @@ let hub_primary ?step_budget labels =
     (fun u v -> Hub_label.size labels u + Hub_label.size labels v)
     step_budget
 
-let flat_primary ?step_budget store =
-  budget_capped (Flat_hub.backend store)
-    (fun u v -> Flat_hub.size store u + Flat_hub.size store v)
+let store_primary ?step_budget (store : Label_store.packed) =
+  budget_capped store.backend (fun u v -> store.size u + store.size v)
     step_budget
 
-let mmap_primary ?step_budget store =
-  budget_capped (Mmap_hub.backend store)
-    (fun u v -> Mmap_hub.size store u + Mmap_hub.size store v)
-    step_budget
+let flat_primary ?step_budget s = store_primary ?step_budget (Flat_hub.pack s)
 
-let compact_primary ?step_budget store =
-  budget_capped (Compact_hub.backend store)
-    (fun u v -> Compact_hub.size store u + Compact_hub.size store v)
-    step_budget
+let compact_primary ?step_budget s =
+  store_primary ?step_budget (Compact_hub.pack s)
 
 let create ?step_budget ?spot_check_every ?quarantine_after ?metrics ?labels
     ?primary ?primary_ops g =

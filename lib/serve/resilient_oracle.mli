@@ -65,14 +65,14 @@ val create :
   t
 (** [create g] builds a resilient oracle over [g]. The single unified
     entry point: [primary] is any uniform backend (build budget-capped
-    label backends with {!hub_primary} / {!flat_primary}); omit it for
+    label backends with {!hub_primary} / {!store_primary}); omit it for
     a search-only oracle. [labels] is the legacy spelling of
     [~primary:(hub_primary ?step_budget labels)] kept so existing
     callers compile unchanged — pass one of the two, not both.
 
-    [primary_ops] is the fast evaluator behind {!op} (typically
-    {!Repro_hub.Flat_hub.ops} / {!Repro_hub.Mmap_hub.ops} over the
-    same store as [primary]). When omitted, aggregate requests run
+    [primary_ops] is the fast evaluator behind {!op} (typically the
+    [ops] of the same {!Repro_hub.Label_store.packed} store as
+    [primary]). When omitted, aggregate requests run
     through {!Repro_obs.Backend.lift} over [primary] — point queries
     only, budget caps included — or straight through the fallback
     chain when there is no primary at all.
@@ -95,16 +95,16 @@ val hub_primary : ?step_budget:int -> Hub_label.t -> Repro_obs.Backend.t
 (** {!Hub_label.backend}, additionally raising {!Over_budget} when
     [|S(u)| + |S(v)|] exceeds [step_budget]. *)
 
-val flat_primary : ?step_budget:int -> Flat_hub.t -> Repro_obs.Backend.t
-(** {!Flat_hub.backend} with the same scan-budget cap. *)
+val store_primary : ?step_budget:int -> Label_store.packed -> Repro_obs.Backend.t
+(** The packed store's backend with the same scan-budget cap: every
+    store kind (flat, mmap, compact) slots into the identical
+    degradation chain. *)
 
-val mmap_primary : ?step_budget:int -> Mmap_hub.t -> Repro_obs.Backend.t
-(** {!Mmap_hub.backend} with the same scan-budget cap — the zero-copy
-    store slots into the identical degradation chain. *)
+val flat_primary : ?step_budget:int -> Flat_hub.t -> Repro_obs.Backend.t
+(** [store_primary] over {!Flat_hub.pack}. *)
 
 val compact_primary : ?step_budget:int -> Compact_hub.t -> Repro_obs.Backend.t
-(** {!Compact_hub.backend} with the same scan-budget cap — the
-    compressed store slots into the identical degradation chain. *)
+(** [store_primary] over {!Compact_hub.pack}. *)
 
 val query : t -> int -> int -> int
 (** Exact distance ({!Dist.inf} when disconnected) whenever spot

@@ -293,12 +293,18 @@ let trace_exemplar t () =
 
 (* ----- worker lifecycle --------------------------------------------- *)
 
+let worker_primary cfg =
+  match (cfg.labels, cfg.mmap, cfg.compact) with
+  | None, None, None -> Worker.Search
+  | Some l, None, None -> Worker.Labels l
+  | None, Some m, None -> Worker.Store (Mmap_hub.pack m)
+  | None, None, Some c -> Worker.Store (Compact_hub.pack c)
+  | _ -> invalid_arg "Router.create: pass at most one of ~labels/~mmap/~compact"
+
 let worker_config cfg ~shard ~with_chaos =
   {
     Worker.graph = cfg.graph;
-    labels = cfg.labels;
-    mmap = cfg.mmap;
-    compact = cfg.compact;
+    primary = worker_primary cfg;
     shards = cfg.shards;
     shard;
     partition = cfg.partition;
@@ -445,17 +451,9 @@ let heal t =
 
 let create cfg =
   if cfg.shards < 1 then invalid_arg "Router.create: shards must be >= 1";
-  (match cfg.labels with
-  | Some l when Hub_label.n l <> Graph.n cfg.graph ->
-      invalid_arg "Router.create: labels and graph disagree on n"
-  | _ -> ());
-  (match (cfg.mmap, cfg.compact, cfg.labels) with
-  | Some _, Some _, _ | Some _, _, Some _ | _, Some _, Some _ ->
-      invalid_arg "Router.create: pass at most one of ~labels/~mmap/~compact"
-  | Some m, None, None when Mmap_hub.n m <> Graph.n cfg.graph ->
-      invalid_arg "Router.create: mmap store and graph disagree on n"
-  | None, Some c, None when Compact_hub.n c <> Graph.n cfg.graph ->
-      invalid_arg "Router.create: compact store and graph disagree on n"
+  (match Worker.primary_n (worker_primary cfg) with
+  | Some n when n <> Graph.n cfg.graph ->
+      invalid_arg "Router.create: primary and graph disagree on n"
   | _ -> ());
   (match cfg.trace with
   | Some tc ->

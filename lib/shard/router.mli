@@ -58,6 +58,9 @@ val default_trace_config : trace_config
 type config = {
   graph : Graph.t;
   labels : Hub_label.t option;
+      (** the labeling each worker slices ({!Worker.Labels}). The three
+          store fields become one {!Worker.primary} per worker; at most
+          one may be set. *)
   mmap : Mmap_hub.t option;
       (** zero-copy worker primaries: forked workers inherit the
           parent's mapping (one page-cache copy across the fleet);

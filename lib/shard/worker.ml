@@ -3,11 +3,11 @@ open Repro_hub
 open Repro_serve
 module Obs = Repro_obs
 
+type primary = Search | Labels of Hub_label.t | Store of Label_store.packed
+
 type config = {
   graph : Graph.t;
-  labels : Hub_label.t option;
-  mmap : Mmap_hub.t option;
-  compact : Compact_hub.t option;
+  primary : primary;
   shards : int;
   shard : int;
   partition : Partition.spec;
@@ -19,12 +19,15 @@ type config = {
   seed : int;
 }
 
+let primary_n = function
+  | Search -> None
+  | Labels l -> Some (Hub_label.n l)
+  | Store (s : Label_store.packed) -> Some s.n
+
 let default_config graph =
   {
     graph;
-    labels = None;
-    mmap = None;
-    compact = None;
+    primary = Search;
     shards = 1;
     shard = 0;
     partition = Partition.Range;
@@ -89,39 +92,28 @@ let write_response ~chaos ~frames_written output resp =
         dribble 0
 
 let build_backend cfg metrics clock =
-  let primary, primary_ops =
-    match (cfg.mmap, cfg.compact, cfg.labels) with
-    | Some _, Some _, _ | Some _, _, Some _ | _, Some _, Some _ ->
-        invalid_arg "Worker.run: pass at most one of ~labels/~mmap/~compact"
-    | Some store, None, None ->
-        (* Zero-copy mode: every worker maps the same whole file (one
-           page-cache copy fleet-wide), so there is no heap slice to
-           cut — partition routing at the router already confines which
-           pairs reach this shard. *)
-        if Mmap_hub.n store <> Graph.n cfg.graph then
-          invalid_arg "Worker.run: mmap store and graph disagree on n";
-        ( Some (Resilient_oracle.mmap_primary ?step_budget:cfg.step_budget store),
-          Some (Mmap_hub.ops store) )
-    | None, Some store, None ->
-        (* Compressed mode: like mmap mode, every worker maps the same
-           whole HUBFLAT2 file through the page cache — now ~6x fewer
-           resident bytes per fleet. *)
-        if Compact_hub.n store <> Graph.n cfg.graph then
-          invalid_arg "Worker.run: compact store and graph disagree on n";
-        ( Some
-            (Resilient_oracle.compact_primary ?step_budget:cfg.step_budget
-               store),
-          Some (Compact_hub.ops store) )
-    | None, None, Some labels ->
+  let store =
+    match cfg.primary with
+    | Search -> None
+    | Labels labels ->
         let slice =
           Partition.slice cfg.partition ~shards:cfg.shards ~shard:cfg.shard
             labels
         in
-        let flat = Flat_hub.of_labels slice in
-        ( Some (Resilient_oracle.flat_primary ?step_budget:cfg.step_budget flat),
-          Some (Flat_hub.ops flat) )
-    | None, None, None -> (None, None)
+        Some (Flat_hub.pack (Flat_hub.of_labels slice))
+    | Store store ->
+        (* Every worker serves the same whole store (for a mapped file,
+           one page-cache copy fleet-wide), so there is no heap slice
+           to cut — partition routing at the router already confines
+           which pairs reach this shard. *)
+        Some store
   in
+  let primary =
+    Option.map
+      (Resilient_oracle.store_primary ?step_budget:cfg.step_budget)
+      store
+  in
+  let primary_ops = Option.map (fun (s : Label_store.packed) -> s.ops) store in
   let oracle =
     Resilient_oracle.create ?step_budget:cfg.step_budget
       ~spot_check_every:cfg.spot_check_every
@@ -135,6 +127,10 @@ let build_backend cfg metrics clock =
 let run ~input ~output cfg =
   if cfg.shard < 0 || cfg.shard >= cfg.shards then
     invalid_arg "Worker.run: shard out of range";
+  (match primary_n cfg.primary with
+  | Some n when n <> Graph.n cfg.graph ->
+      invalid_arg "Worker.run: primary and graph disagree on n"
+  | _ -> ());
   let metrics = Obs.Metrics.create () in
   let clock =
     Option.map

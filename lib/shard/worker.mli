@@ -31,21 +31,24 @@ open Repro_graph
 open Repro_hub
 open Repro_serve
 
+type primary =
+  | Search  (** search-only: the BFS fallback chain alone *)
+  | Labels of Hub_label.t
+      (** the shard's {!Repro_hub.Partition.slice} of the labeling,
+          packed into a heap {!Repro_hub.Flat_hub} *)
+  | Store of Label_store.packed
+      (** the {e whole} store, served as is: the router's partition
+          routing confines which pairs arrive. For a mapped store
+          ({!Repro_hub.Mmap_hub}, {!Repro_hub.Compact_hub}) the OS page
+          cache keeps one physical copy across every worker mapping the
+          same file. *)
+
+val primary_n : primary -> int option
+(** The vertex count a primary serves; [None] for [Search]. *)
+
 type config = {
   graph : Graph.t;
-  labels : Hub_label.t option;
-      (** [None] builds a search-only worker (BFS fallback chain only) *)
-  mmap : Mmap_hub.t option;
-      (** zero-copy primary: serve the {e whole} mapped store (no heap
-          slice — the router's partition routing confines which pairs
-          arrive; the OS page cache keeps one physical copy across all
-          workers mapping the same file). Mutually exclusive with
-          [labels]. *)
-  compact : Compact_hub.t option;
-      (** compressed zero-copy primary: the whole mapped [HUBFLAT2]
-          store, with the same one-page-cache-copy sharing as [mmap]
-          at a fraction of the bytes. Mutually exclusive with [labels]
-          and [mmap]. *)
+  primary : primary;
   shards : int;
   shard : int;
   partition : Partition.spec;
@@ -59,11 +62,13 @@ type config = {
 }
 
 val default_config : Graph.t -> config
-(** Search-only single-shard worker: [shards = 1], [shard = 0],
-    [Range] partition, [spot_check_every = 1], [quarantine_after = 3],
-    no budget, no chaos, manual clock off, seed 0. *)
+(** Search-only ([primary = Search]) single-shard worker:
+    [shards = 1], [shard = 0], [Range] partition,
+    [spot_check_every = 1], [quarantine_after = 3], no budget, no
+    chaos, manual clock off, seed 0. *)
 
 val run : input:Unix.file_descr -> output:Unix.file_descr -> config -> unit
 (** Blocks serving frames until [Shutdown] or EOF. Never raises on
     malformed input; raises [Invalid_argument] only on a bad [config]
-    (shard out of range, labels/graph size mismatch). *)
+    (shard out of range, or a primary whose [n] differs from the
+    graph's). *)

@@ -12,8 +12,10 @@
       mmap paths) and agree with a heap Flat_hub parse of the
       uncompressed pack on every sampled pair;
    3. `hubhard serve query --compact` answers byte-for-byte what
-      `--flat` answers on the same seeded pairs, and a `serve loop
-      --compact` snapshot records store kind "compact";
+      `--flat` answers on the same seeded pairs, also with
+      `--cache-slots 64`; `serve stats --compact --cache-slots`
+      reports cache hits; a `serve loop --compact` snapshot records
+      store kind "compact";
    4. a shard router drives real `hubhard serve worker --compact`
       subprocesses (exec spawn) — every answer exact and
       primary-served, so N workers share one compressed on-disk store;
@@ -177,6 +179,31 @@ let () =
   let tf = answer_triples lines_f and tc = answer_triples lines_c in
   check "serve: 40 answers each" (List.length tf = 40 && List.length tc = 40);
   check "serve: identical distances across stores" (tf = tc);
+  (* --cache-slots puts the direct-mapped cache in front of the compact
+     store: the whole output stays byte-identical to --flat, and
+     'serve stats' reports cache hits *)
+  let code_k, lines_k = serve_query ~labels:packed_file [ "--compact"; "--cache-slots"; "64" ] in
+  check "serve: --compact --cache-slots 64 exits 0" (code_k = 0);
+  check "serve: --compact --cache-slots 64 output = --flat output"
+    (lines_k = lines_f);
+  let code_s, lines_s =
+    run_cli
+      [
+        "serve"; "stats"; "--graph-file"; graph_file; "--labels-file";
+        packed_file; "--compact"; "--cache-slots"; "4096"; "--num"; "2000";
+        "--seed"; "5";
+      ]
+  in
+  check "serve stats: --compact --cache-slots exits 0" (code_s = 0);
+  check "serve stats: store cache reports hits"
+    (List.exists
+       (fun line ->
+         match
+           Scanf.sscanf line "store cache: %d hits, %d misses%!" (fun h _ -> h)
+         with
+         | h -> h > 0
+         | exception _ -> false)
+       lines_s);
   let q_file = Filename.temp_file "compress_smoke" ".queries" in
   let snap_file = Filename.temp_file "compress_smoke" ".snap.json" in
   let oc = open_out q_file in

@@ -27,6 +27,7 @@ let () =
       ("parallel", Test_par.suite);
       ("mmap-hub", Test_mmap_hub.suite);
       ("compact-hub", Test_compact_hub.suite);
+      ("label-store", Test_label_store.suite);
       ("ops", Test_ops.suite);
       ("trace-ctx", Test_trace_ctx.suite);
     ]

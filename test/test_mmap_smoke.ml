@@ -7,8 +7,9 @@
    2. the packed bytes mmap-load in-process (deep-validated) and agree
       with a heap Flat_hub parse of the same file on every pair;
    3. `hubhard serve query --mmap` answers byte-for-byte what
-      `--flat` answers on the same seeded pairs, and the trace source
-      names the mmap backend;
+      `--flat` answers on the same seeded pairs, also with
+      `--cache-slots 64`; `serve stats --mmap --cache-slots` reports
+      cache hits;
    4. a shard router drives real `hubhard serve worker --mmap`
       subprocesses (exec spawn) — every answer exact and
       primary-served, so N workers share one on-disk store through the
@@ -164,6 +165,31 @@ let () =
     let rec go i = i + sn <= n && (String.sub s i sn = sub || go (i + 1)) in
     go 0
   in
+  (* --cache-slots puts the direct-mapped cache in front of the mmap
+     store: the whole output stays byte-identical to --flat, and
+     'serve stats' reports cache hits *)
+  let code_k, lines_k = serve_query [ "--mmap"; "--cache-slots"; "64" ] in
+  check "serve: --mmap --cache-slots 64 exits 0" (code_k = 0);
+  check "serve: --mmap --cache-slots 64 output = --flat output"
+    (lines_k = lines_f);
+  let code_s, lines_s =
+    run_cli
+      [
+        "serve"; "stats"; "--graph-file"; graph_file; "--labels-file";
+        packed_file; "--mmap"; "--cache-slots"; "4096"; "--num"; "2000";
+        "--seed"; "5";
+      ]
+  in
+  check "serve stats: --mmap --cache-slots exits 0" (code_s = 0);
+  check "serve stats: store cache reports hits"
+    (List.exists
+       (fun line ->
+         match
+           Scanf.sscanf line "store cache: %d hits, %d misses%!" (fun h _ -> h)
+         with
+         | h -> h > 0
+         | exception _ -> false)
+       lines_s);
   let q_file = Filename.temp_file "mmap_smoke" ".queries" in
   let snap_file = Filename.temp_file "mmap_smoke" ".snap.json" in
   let oc = open_out q_file in

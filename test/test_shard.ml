@@ -326,7 +326,7 @@ let worker_fixture () =
 let test_worker_serves_frames () =
   let g, labels = worker_fixture () in
   let cfg =
-    { (Worker.default_config g) with Worker.labels = Some labels;
+    { (Worker.default_config g) with Worker.primary = Worker.Labels labels;
       clock_step = Some 1000L }
   in
   let truth = Hub_label.query labels 0 41 in
@@ -375,7 +375,7 @@ let test_worker_chaos_corrupt_frame () =
   let cfg =
     {
       (Worker.default_config g) with
-      Worker.labels = Some labels;
+      Worker.primary = Worker.Labels labels;
       chaos = Some (Fault_injector.chaos ~after_frames:1 Fault_injector.Corrupt_frame);
     }
   in
@@ -395,6 +395,25 @@ let test_worker_chaos_corrupt_frame () =
       match read_response_exn fd with
       | Wire.Answer { id = 2; degraded = false; _ } -> ()
       | _ -> Alcotest.fail "expected a clean Answer 2")
+
+let test_worker_rejects_n_mismatch () =
+  (* labels built on a 4-vertex path, served over a 6-vertex path: every
+     primary kind must be refused before the loop starts *)
+  let g = Repro_graph.Generators.path 6 in
+  let labels = Pll.build (Repro_graph.Generators.path 4) in
+  List.iter
+    (fun (what, primary) ->
+      Alcotest.check_raises what
+        (Invalid_argument "Worker.run: primary and graph disagree on n")
+        (fun () ->
+          with_worker_io
+            { (Worker.default_config g) with Worker.primary }
+            [ Wire.encode_request Wire.Shutdown ]
+            ignore))
+    [
+      ("sliced labels", Worker.Labels labels);
+      ("packed store", Worker.Store (Flat_hub.pack (Flat_hub.of_labels labels)));
+    ]
 
 let test_worker_shutdown_on_eof () =
   (* no Shutdown frame: closing the request pipe must end the loop *)
@@ -434,4 +453,6 @@ let suite =
     Alcotest.test_case "worker chaos corrupt frame" `Quick
       test_worker_chaos_corrupt_frame;
     Alcotest.test_case "worker exits on EOF" `Quick test_worker_shutdown_on_eof;
+    Alcotest.test_case "worker rejects a primary/graph n mismatch" `Quick
+      test_worker_rejects_n_mismatch;
   ]
