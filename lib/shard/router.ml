@@ -54,8 +54,7 @@ type answer = { dist : int; source : int; degraded : bool }
 
 type conn = {
   c_pid : int;
-  c_fd : Unix.file_descr;
-  mutable c_buf : string;  (* bytes read but not yet framed *)
+  c_io : Frame_io.t;
   c_stash : (int, Wire.response) Hashtbl.t;  (* out-of-order responses *)
 }
 
@@ -102,7 +101,7 @@ type t = {
 }
 
 (* router-side failure taxonomy; the supervisor decides what it costs *)
-type rerr = Timeout | Wire_err of Wire.error
+type rerr = Frame_io.error = Timeout | Wire_err of Wire.error
 
 let is_soft = function
   | Timeout -> true
@@ -113,40 +112,9 @@ let event name fields = Obs.Events.emit_ambient ~level:Obs.Events.Warn name fiel
 
 (* ----- frame transport with deadlines ------------------------------- *)
 
-let deadline_s t = Int64.to_float t.cfg.supervisor.Supervisor.deadline_ns /. 1e9
-
-let rec recv_frame conn ~until =
-  match Wire.decode_frame conn.c_buf ~pos:0 with
-  | Ok (payload, next) ->
-      conn.c_buf <-
-        String.sub conn.c_buf next (String.length conn.c_buf - next);
-      Ok payload
-  | Error (Wire.Eof | Wire.Truncated _) -> (
-      (* not enough buffered bytes: wait for the descriptor *)
-      let remaining = until -. Unix.gettimeofday () in
-      if remaining <= 0.0 then Error Timeout
-      else
-        match Unix.select [ conn.c_fd ] [] [] remaining with
-        | [], _, _ -> Error Timeout
-        | _ -> (
-            let chunk = Bytes.create 65536 in
-            match Unix.read conn.c_fd chunk 0 65536 with
-            | 0 ->
-                Error
-                  (Wire_err
-                     (if conn.c_buf = "" then Wire.Eof
-                      else
-                        Wire.Truncated
-                          { wanted = 4; got = String.length conn.c_buf }))
-            | k ->
-                conn.c_buf <- conn.c_buf ^ Bytes.sub_string chunk 0 k;
-                recv_frame conn ~until
-            | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-                recv_frame conn ~until
-            | exception Unix.Unix_error (e, _, _) ->
-                Error (Wire_err (Wire.Io (Unix.error_message e))))
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> recv_frame conn ~until)
-  | Error e -> Error (Wire_err e)
+(* Every wait for a response is bounded by the supervisor deadline, on
+   the monotonic clock. *)
+let until t = Frame_io.deadline t.cfg.supervisor.Supervisor.deadline_ns
 
 let response_id = function
   | Wire.Answer { id; _ }
@@ -169,7 +137,7 @@ let rec recv_matching conn ~id ~until =
       Hashtbl.remove conn.c_stash id;
       Ok resp
   | None -> (
-      match recv_frame conn ~until with
+      match Frame_io.recv conn.c_io ~until with
       | Error _ as e -> e
       | Ok payload -> (
           match Wire.response_of_payload payload with
@@ -182,10 +150,7 @@ let rec recv_matching conn ~id ~until =
                 recv_matching conn ~id ~until
               end))
 
-let send_frame conn frame =
-  match Wire.write_frame conn.c_fd frame with
-  | Ok () -> Ok ()
-  | Error e -> Error (Wire_err e)
+let send_frame conn frame = Frame_io.send conn.c_io frame
 
 let fresh_id t =
   incr t.next_id;
@@ -326,7 +291,7 @@ let spawn_conn t shard ~with_chaos =
       | 0 ->
           Unix.close parent_fd;
           Array.iter
-            (function Some c -> (try Unix.close c.c_fd with _ -> ()) | None -> ())
+            (function Some c -> Frame_io.close c.c_io | None -> ())
             t.conns;
           (try
              Worker.run ~input:child_fd ~output:child_fd
@@ -335,7 +300,7 @@ let spawn_conn t shard ~with_chaos =
           Unix._exit 0
       | pid ->
           Unix.close child_fd;
-          Some { c_pid = pid; c_fd = parent_fd; c_buf = ""; c_stash = Hashtbl.create 16 }
+          Some { c_pid = pid; c_io = Frame_io.create parent_fd; c_stash = Hashtbl.create 16 }
       | exception Unix.Unix_error _ ->
           Unix.close parent_fd;
           Unix.close child_fd;
@@ -346,7 +311,7 @@ let spawn_conn t shard ~with_chaos =
       match Unix.create_process argv.(0) argv child_fd child_fd Unix.stderr with
       | pid ->
           Unix.close child_fd;
-          Some { c_pid = pid; c_fd = parent_fd; c_buf = ""; c_stash = Hashtbl.create 16 }
+          Some { c_pid = pid; c_io = Frame_io.create parent_fd; c_stash = Hashtbl.create 16 }
       | exception Unix.Unix_error _ ->
           Unix.close parent_fd;
           Unix.close child_fd;
@@ -365,7 +330,7 @@ let demote t shard =
   match t.conns.(shard) with
   | None -> ()
   | Some c ->
-      (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
+      Frame_io.close c.c_io;
       (try Unix.kill c.c_pid Sys.sigkill with Unix.Unix_error _ -> ());
       reap c.c_pid;
       t.conns.(shard) <- None
@@ -375,9 +340,7 @@ let ping t conn =
   match send_frame conn (Wire.encode_request (Wire.Ping { id })) with
   | Error _ -> false
   | Ok () -> (
-      match
-        recv_matching conn ~id ~until:(Unix.gettimeofday () +. deadline_s t)
-      with
+      match recv_matching conn ~id ~until:(until t) with
       | Ok (Wire.Pong { id = _ }) -> true
       | Ok _ | Error _ -> false)
 
@@ -506,6 +469,12 @@ let create cfg =
       down = false;
     }
   in
+  (* forked workers inherit this heap copy-on-write, and their first
+     major cycle writes to every block it sweeps, dead or alive: collect
+     once before the first fork, so workers do not copy pages of
+     garbage (a collection between forks would unshare the pages the
+     router still shares with the workers already forked) *)
+  (match cfg.spawn with Fork -> Gc.full_major () | Exec _ -> ());
   for s = 0 to cfg.shards - 1 do
     let conn = spawn_conn t s ~with_chaos:true in
     t.conns.(s) <- conn;
@@ -568,11 +537,12 @@ let answer_of_response resp =
   | Wire.Answer { dist; source; degraded; _ } -> Some { dist; source; degraded }
   | _ -> None
 
-(* One batch window on one shard: send every request, then collect in
-   order. A soft failure burns one bounded retry for its item; once the
-   supervisor escalates (restart or quarantine) the remaining items of
-   the window degrade to the local fallback — restarts wait for the
-   batch boundary. Returns [false] when the shard was demoted. *)
+(* One batch window on one shard: send every request in one write,
+   then collect in order. A soft failure burns one bounded retry for
+   its item; once the supervisor escalates (restart or quarantine) the
+   remaining items of the window degrade to the local fallback —
+   restarts wait for the batch boundary. Returns [false] when the shard
+   was demoted. *)
 let window_size = 256
 
 let run_window t shard conn ~opname ~wctx items out =
@@ -580,18 +550,15 @@ let run_window t shard conn ~opname ~wctx items out =
   let encode_query id u v =
     Wire.encode_request_ctx ?ctx:wctx (Wire.Query { id; u; v })
   in
-  let ids = Array.map (fun _ -> 0) items in
-  let sent = ref 0 in
-  (try
-     Array.iteri
-       (fun i (_, u, v) ->
-         let id = fresh_id t in
-         ids.(i) <- id;
-         match send_frame conn (encode_query id u v) with
-         | Ok () -> sent := i + 1
-         | Error _ -> raise Exit)
-       items
-   with Exit -> ());
+  let ids =
+    Array.map
+      (fun (_, u, v) ->
+        let id = fresh_id t in
+        Frame_io.queue conn.c_io (encode_query id u v);
+        id)
+      items
+  in
+  let sent = Result.is_ok (Frame_io.flush conn.c_io) in
   let alive = ref true in
   let crash_now () =
     alive := false;
@@ -607,15 +574,14 @@ let run_window t shard conn ~opname ~wctx items out =
   Array.iteri
     (fun i (idx, u, v) ->
       if not !alive then out.(idx) <- fallback_answer t u v
-      else if i >= !sent then begin
-        (* the send failed before this item went out *)
+      else if not sent then begin
+        (* the window never went out *)
         crash_now ();
         out.(idx) <- fallback_answer t u v
       end
       else
         let rec attempt ~id ~retried =
-          let until = Unix.gettimeofday () +. deadline_s t in
-          match recv_matching conn ~id ~until with
+          match recv_matching conn ~id ~until:(until t) with
           | Ok resp -> (
               match answer_of_response resp with
               | Some a ->
@@ -791,8 +757,7 @@ let shard_call t shard ~extract make_req =
             crash t shard;
             None
         | Ok () -> (
-            let until = Unix.gettimeofday () +. deadline_s t in
-            match recv_matching conn ~id ~until with
+            match recv_matching conn ~id ~until:(until t) with
             | Ok resp -> (
                 match extract resp with
                 | Some x ->
@@ -1066,10 +1031,7 @@ let merged_snapshot t =
         match send_frame conn (Wire.encode_request (Wire.Stats { id })) with
         | Error _ -> crash t s
         | Ok () -> (
-            match
-              recv_matching conn ~id
-                ~until:(Unix.gettimeofday () +. deadline_s t)
-            with
+            match recv_matching conn ~id ~until:(until t) with
             | Ok (Wire.Stats_payload { data; _ }) -> (
                 match Obs.Metrics.snapshot_of_wire data with
                 | Ok snap ->
@@ -1112,10 +1074,7 @@ let trace_trees t =
             with
             | Error _ -> crash t s
             | Ok () -> (
-                match
-                  recv_matching conn ~id
-                    ~until:(Unix.gettimeofday () +. deadline_s t)
-                with
+                match recv_matching conn ~id ~until:(until t) with
                 | Ok (Wire.Trace_payload { data; _ }) -> (
                     match Obs.Trace_ctx.spans_of_wire data with
                     | Ok sps ->
@@ -1143,10 +1102,9 @@ let shutdown t =
         match conn with
         | None -> ()
         | Some c ->
-            (try
-               ignore (Wire.write_frame c.c_fd (Wire.encode_request Wire.Shutdown))
+            (try ignore (send_frame c (Wire.encode_request Wire.Shutdown))
              with _ -> ());
-            (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
+            Frame_io.close c.c_io;
             (try Unix.kill c.c_pid Sys.sigkill with Unix.Unix_error _ -> ());
             reap c.c_pid;
             t.conns.(s) <- None)

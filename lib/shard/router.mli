@@ -6,12 +6,14 @@
     [hubhard serve worker] with the socket on stdin/stdout), routes
     each query pair to the shard owning it
     ({!Repro_hub.Partition.owner_of_pair}) and speaks {!Wire} over the
-    pipes. Batches are pipelined per shard: all requests are written
-    first, responses collected in id order, stale or reordered frames
-    discarded by id.
+    pipes. Each connection reads and writes through one {!Frame_io}
+    buffer. Batches are pipelined per shard in windows of 256 requests,
+    each window sent in one write; responses are collected in id order,
+    and stale or reordered frames are matched by id.
 
     Failure handling is delegated to a {!Supervisor}: deadline misses
-    and unparseable frames are soft failures, EOF/EPIPE are crashes.
+    (measured on the monotonic clock, {!Frame_io.deadline}) and
+    unparseable frames are soft failures, EOF/EPIPE are crashes.
     When the supervisor orders a restart the router waits out the
     backoff ({b advancing the manual clock} instead of sleeping when
     [clock_step] is set — that is what makes the chaos suite both fast

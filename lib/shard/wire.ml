@@ -275,23 +275,30 @@ let encode_response = function
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
-let check_len s ~pos wanted =
-  let got = String.length s - pos in
+let check_len ~limit ~pos wanted =
+  let got = limit - pos in
   if got >= wanted then Ok () else Error (Truncated { wanted; got })
 
-let decode_frame s ~pos =
-  if pos < 0 || pos > String.length s then
+(* The one header check: every reader frames through here. *)
+let decode_frame_bytes b ~pos ~limit =
+  if pos < 0 || pos > limit || limit > Bytes.length b then
     Error (Bad_payload "position out of range")
-  else if pos = String.length s then Error Eof
+  else if pos = limit then Error Eof
   else
-    let* () = check_len s ~pos 4 in
-    let len = Int32.to_int (String.get_int32_le s pos) in
+    let* () = check_len ~limit ~pos 4 in
+    let len = Int32.to_int (Bytes.get_int32_le b pos) in
     if len < 0 then Error (Negative_length len)
     else if len > max_frame_len then Error (Oversized len)
     else if len = 0 then Error (Bad_payload "empty frame: no opcode")
     else
-      let* () = check_len s ~pos:(pos + 4) len in
-      Ok (String.sub s (pos + 4) len, pos + 4 + len)
+      let* () = check_len ~limit ~pos:(pos + 4) len in
+      Ok (len, pos + 4 + len)
+
+let decode_frame s ~pos =
+  let* len, next =
+    decode_frame_bytes (Bytes.unsafe_of_string s) ~pos ~limit:(String.length s)
+  in
+  Ok (String.sub s (pos + 4) len, next)
 
 let get_i64 p off = Int64.to_int (String.get_int64_le p off)
 
@@ -504,16 +511,6 @@ let rec read_frame fd =
       match read_exact fd header k (4 - k) with
       | Error _ as e -> e
       | Ok () -> decode_after_header fd header)
-
-let read_request fd =
-  match read_frame fd with
-  | Error _ as e -> e
-  | Ok p -> request_of_payload p
-
-let read_request_ctx fd =
-  match read_frame fd with
-  | Error _ as e -> e
-  | Ok p -> request_of_payload_ctx p
 
 let read_response fd =
   match read_frame fd with

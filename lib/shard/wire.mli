@@ -138,6 +138,13 @@ val decode_frame : string -> pos:int -> (string * int, error) result
 (** [(payload, next_pos)] of the frame starting at [pos]; [Eof] when
     [pos] is exactly the end of the buffer. *)
 
+val decode_frame_bytes :
+  Bytes.t -> pos:int -> limit:int -> (int * int, error) result
+(** {!decode_frame} over the bytes [[pos, limit)] of a buffer, framing
+    in place: [(payload_len, next_pos)], the payload being the
+    [payload_len] bytes at [pos + 4]. The same checks and errors;
+    {!decode_frame} is this plus one copy of the payload. *)
+
 val request_of_payload : string -> (request, error) result
 val response_of_payload : string -> (response, error) result
 
@@ -164,19 +171,16 @@ val request_of_payload_ctx :
     payload, returning no context). A nested [0x0f] inner payload is
     {!Bad_opcode}. *)
 
-(** {1 Descriptor-level transport} *)
+(** {1 Descriptor-level transport}
+
+    Unbuffered, one frame per call: a reader that must not consume a
+    byte past its frame. Router and worker serve through the buffered
+    {!Frame_io} instead. *)
 
 val read_frame : Unix.file_descr -> (string, error) result
 (** Blocking read of one payload. [Eof] on a clean end of stream,
     [Truncated] when the peer died mid-frame, [Io] on transport
     errors; retries [EINTR]. *)
-
-val read_request : Unix.file_descr -> (request, error) result
-
-val read_request_ctx :
-  Unix.file_descr ->
-  (request * Repro_obs.Trace_ctx.t option, error) result
-(** {!read_frame} + {!request_of_payload_ctx}. *)
 
 val read_response : Unix.file_descr -> (response, error) result
 

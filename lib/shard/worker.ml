@@ -41,55 +41,50 @@ let default_config graph =
 
 (* Applying a chaos plan is the only non-obvious part of the loop: the
    fault fires exactly once, in place of (or around) the write of the
-   [after_frames]-th response frame. Kill-class faults use
-   [Unix._exit] so no at_exit machinery (channel flushing in the
-   forked parent image) runs in the doomed child. *)
-let write_response ~chaos ~frames_written output resp =
+   [after_frames]-th response frame. Responses are otherwise only
+   queued; every one queued before the fault is flushed first, so a
+   plan delivers the same bytes however the loop batches its writes.
+   Kill-class faults use [Unix._exit] so no at_exit machinery (channel
+   flushing in the forked parent image) runs in the doomed child. *)
+let write_response ~chaos ~frames_written io resp =
   let frame = Wire.encode_response resp in
   incr frames_written;
-  let fire =
-    match chaos with
-    | Some (c : Fault_injector.chaos) -> !frames_written = c.after_frames
-    | None -> false
-  in
-  if not fire then Wire.write_frame output frame
-  else
-    match (Option.get chaos).fault with
-    | Fault_injector.Kill -> Unix._exit 137
-    | Fault_injector.Hang ->
-        while true do
-          Unix.sleep 3600
-        done;
-        assert false
-    | Fault_injector.Truncate_frame ->
-        let half = max 1 (String.length frame / 2) in
-        let b = Bytes.unsafe_of_string frame in
-        let rec go off len =
-          if len > 0 then
-            match Unix.write output b off len with
-            | k -> go (off + k) (len - k)
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off len
-            | exception Unix.Unix_error (_, _, _) -> ()
-        in
-        go 0 half;
-        Unix._exit 137
-    | Fault_injector.Corrupt_frame ->
-        let b = Bytes.of_string frame in
-        for i = 4 to Bytes.length b - 1 do
-          Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor 0xff)
-        done;
-        Wire.write_frame output (Bytes.unsafe_to_string b)
-    | Fault_injector.Slow_write ->
-        let rec dribble i =
-          if i >= String.length frame then Ok ()
-          else begin
-            Unix.sleepf 0.05;
-            match Wire.write_frame output (String.sub frame i 1) with
-            | Ok () -> dribble (i + 1)
-            | Error _ as e -> e
-          end
-        in
-        dribble 0
+  match chaos with
+  | Some (c : Fault_injector.chaos) when !frames_written = c.after_frames -> (
+      match Frame_io.flush io with
+      | Error _ as e -> e
+      | Ok () -> (
+          match c.fault with
+          | Fault_injector.Kill -> Unix._exit 137
+          | Fault_injector.Hang ->
+              while true do
+                Unix.sleep 3600
+              done;
+              assert false
+          | Fault_injector.Truncate_frame ->
+              let half = max 1 (String.length frame / 2) in
+              ignore (Frame_io.send io (String.sub frame 0 half));
+              Unix._exit 137
+          | Fault_injector.Corrupt_frame ->
+              let b = Bytes.of_string frame in
+              for i = 4 to Bytes.length b - 1 do
+                Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor 0xff)
+              done;
+              Frame_io.send io (Bytes.unsafe_to_string b)
+          | Fault_injector.Slow_write ->
+              let rec dribble i =
+                if i >= String.length frame then Ok ()
+                else begin
+                  Unix.sleepf 0.05;
+                  match Frame_io.send io (String.sub frame i 1) with
+                  | Ok () -> dribble (i + 1)
+                  | Error _ as e -> e
+                end
+              in
+              dribble 0))
+  | _ ->
+      Frame_io.queue io frame;
+      Ok ()
 
 let build_backend cfg metrics clock =
   let store =
@@ -220,13 +215,26 @@ let run ~input ~output cfg =
   Obs.Metrics.set_gauge seed_gauge cfg.seed;
   let bad_frames = Obs.Metrics.counter metrics "worker.bad_frames" in
   let frames_written = ref 0 in
+  let io = Frame_io.create ~output input in
   let send resp =
-    match write_response ~chaos:cfg.chaos ~frames_written output resp with
+    match write_response ~chaos:cfg.chaos ~frames_written io resp with
     | Ok () -> true
     | Error _ -> false (* router hung up; stop serving *)
   in
+  (* One read may bring many requests. Their responses are queued and
+     written together just before the loop would block for input, and
+     at Shutdown or the end of the stream. *)
+  let next_request () =
+    match if Frame_io.ready io then Ok () else Frame_io.flush io with
+    | Error _ as e -> e
+    | Ok () -> (
+        match Frame_io.recv io with
+        | Ok payload -> Wire.request_of_payload_ctx payload
+        | Error (Frame_io.Wire_err e) -> Error e
+        | Error Frame_io.Timeout -> Error Wire.Eof (* no deadline: unreachable *))
+  in
   let rec loop () =
-    match Wire.read_request_ctx input with
+    match next_request () with
     | Ok (Wire.Query { id; u; v }, ctx) ->
         let resp =
           with_trace ctx "dist" (fun () ->
@@ -417,7 +425,7 @@ let run ~input ~output cfg =
     | Ok (Wire.Trace_fetch { id }, _) ->
         let data = Obs.Trace_ctx.spans_to_wire (Obs.Trace_ctx.spans tstore) in
         if send (Wire.Trace_payload { id; data }) then loop ()
-    | Ok (Wire.Shutdown, _) -> ()
+    | Ok (Wire.Shutdown, _) -> ignore (Frame_io.flush io)
     | Error ((Wire.Bad_opcode _ | Wire.Bad_payload _) as e) ->
         (* the frame was read in full; the stream is still in sync *)
         Obs.Metrics.incr bad_frames;
@@ -433,6 +441,6 @@ let run ~input ~output cfg =
     | Error (Wire.Eof | Wire.Truncated _ | Wire.Negative_length _
             | Wire.Oversized _ | Wire.Io _) ->
         (* EOF or a desynchronised stream: nothing sane can follow *)
-        ()
+        ignore (Frame_io.flush io)
   in
   loop ()

@@ -4,7 +4,11 @@
     its shard, packed into a {!Repro_hub.Flat_hub} store behind the
     full {!Repro_serve.Resilient_oracle} degradation chain, and serves
     {!Wire} requests read from [input] until [Shutdown], EOF, or an
-    unrecoverable stream error. Point queries and the aggregate ops
+    unrecoverable stream error. Frames go through a {!Frame_io}
+    buffer: one read may bring many requests, and their responses are
+    queued and written together when no whole request is left to
+    serve, at [Shutdown], at the end of the stream, and before a chaos
+    fault fires. Point queries and the aggregate ops
     ([Op_row], [Op_ecc], [Op_topk], [Op_diam]) all route through the
     oracle's per-op degradation ({!Repro_serve.Resilient_oracle.op});
     aggregates read label rows only at the shard's {e owned} vertices

@@ -1,6 +1,9 @@
 let () =
   Alcotest.run "hubhard"
     [
+      (* first: its router test forks, which must happen before any
+         suite spawns a domain *)
+      ("shard", Test_shard.suite);
       ("structures", Test_structures.suite);
       ("graph", Test_graph.suite);
       ("generators", Test_generators.suite);
@@ -20,7 +23,6 @@ let () =
       ("tz-theorems", Test_tz.suite);
       ("io-adversarial", Test_io_adversarial.suite);
       ("serve", Test_serve.suite);
-      ("shard", Test_shard.suite);
       ("flat-hub", Test_flat_hub.suite);
       ("differential", Test_differential.suite);
       ("observability", Test_obs.suite);

@@ -1,9 +1,10 @@
 (* Unit tests for the sharded serving tier: Wire codec round-trips,
    partition slicing exactness, the supervisor state machine and
-   backoff schedule, the metrics wire format, and the worker frame
-   loop driven in-process over plain pipes (process-level scenarios —
-   fork, kill, restart — live in test_shard_smoke.ml, which runs in a
-   fresh domain-free process). *)
+   backoff schedule, the metrics wire format, the worker frame loop
+   driven in-process over plain pipes, Frame_io over a socketpair, and
+   the router's allocation per query on a forked 1-shard fleet (the
+   chaos scenarios — kill, restart, quarantine — live in
+   test_shard_smoke.ml, which runs in a fresh domain-free process). *)
 
 open Repro_hub
 open Repro_shard
@@ -425,8 +426,235 @@ let test_worker_shutdown_on_eof () =
       | Wire.Pong { id = 1 } -> ()
       | _ -> Alcotest.fail "expected Pong before EOF exit")
 
+(* ----- Frame_io over a socketpair ------------------------------------ *)
+
+let gen_frame =
+  QCheck2.Gen.(
+    let id = int_range 0 1_000_000 in
+    oneof
+      [
+        map3 (fun id u v -> Wire.encode_request (Wire.Query { id; u; v })) id id id;
+        map (fun id -> Wire.encode_request (Wire.Ping { id })) id;
+        map2
+          (fun id ts ->
+            Wire.encode_request
+              (Wire.Op_row { id; source = 3; targets = Array.of_list ts }))
+          id (list_size (int_range 0 8) id);
+        map2
+          (fun id dist ->
+            Wire.encode_response
+              (Wire.Answer
+                 { id; dist; source = Wire.source_primary; degraded = false }))
+          id id;
+        map2
+          (fun id data -> Wire.encode_response (Wire.Stats_payload { id; data }))
+          id (string_size (int_range 0 64));
+        map2
+          (fun id msg ->
+            Wire.encode_response
+              (Wire.Error_frame { id; code = Wire.err_unavailable; msg }))
+          id (string_size (int_range 0 32));
+      ])
+
+(* larger than the initial 16 KiB input buffer *)
+let big_frame =
+  Wire.encode_response
+    (Wire.Stats_payload { id = 9; data = String.make (200 * 1024) 'x' })
+
+let payload_of frame = String.sub frame 4 (String.length frame - 4)
+
+(* Stream [s] into a fresh socketpair, writing [chunks] bytes at a time
+   (then the rest) and letting the reader take whatever has arrived
+   after each chunk and whenever the socket is full; close the writer
+   and read to the end. Returns the payloads in order, the final error
+   and the reader's capacity. *)
+let stream_through ?(chunks = []) s =
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock w;
+  let io = Frame_io.create r in
+  let got = ref [] in
+  let rec drain () =
+    match Frame_io.recv ~until:(Frame_io.deadline 0L) io with
+    | Ok p ->
+        got := p :: !got;
+        drain ()
+    | Error Frame_io.Timeout -> ()
+    | Error (Frame_io.Wire_err e) ->
+        Alcotest.failf "mid-stream: %s" (Wire.error_to_string e)
+  in
+  let rec write off len =
+    if len > 0 then
+      match Unix.single_write_substring w s off len with
+      | k -> write (off + k) (len - k)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          drain ();
+          write off len
+  in
+  let off = ref 0 in
+  List.iter
+    (fun c ->
+      let c = min c (String.length s - !off) in
+      write !off c;
+      off := !off + c;
+      drain ())
+    chunks;
+  write !off (String.length s - !off);
+  Unix.close w;
+  let rec rest () =
+    match Frame_io.recv io with
+    | Ok p ->
+        got := p :: !got;
+        rest ()
+    | Error (Frame_io.Wire_err e) -> e
+    | Error Frame_io.Timeout -> Alcotest.fail "timeout without a deadline"
+  in
+  let final = rest () in
+  let cap = Frame_io.capacity io in
+  Frame_io.close io;
+  (List.rev !got, final, cap)
+
+let gen_stream =
+  QCheck2.Gen.(
+    quad
+      (list_size (int_range 1 10) gen_frame)
+      (opt (int_range 0 9))
+      (list_size (int_range 0 12)
+         (oneof [ int_range 1 8; int_range 1 512; int_range 1 300_000 ]))
+      unit)
+
+let prop_frame_io_stream =
+  Test_util.qcheck "Frame_io: chunked stream gives every payload, then Eof"
+    ~count:40 gen_stream (fun (frames, big, chunks, ()) ->
+      (* the big frame, when present, goes anywhere but last *)
+      let frames =
+        match big with
+        | None -> frames
+        | Some k ->
+            let k = k mod List.length frames in
+            List.concat
+              (List.mapi
+                 (fun i f -> if i = k then [ big_frame; f ] else [ f ])
+                 frames)
+      in
+      let s = String.concat "" frames in
+      let largest =
+        List.fold_left (fun a f -> max a (String.length f)) 0 frames
+      in
+      let payloads, final, cap = stream_through ~chunks s in
+      let whole_ok =
+        payloads = List.map payload_of frames
+        && final = Wire.Eof
+        && cap <= max 16384 (2 * (largest + 4))
+      in
+      (* cut the stream at every byte of its last frame *)
+      let last = List.nth frames (List.length frames - 1) in
+      let start = String.length s - String.length last in
+      let before =
+        List.map payload_of
+          (List.filteri (fun i _ -> i < List.length frames - 1) frames)
+      in
+      let cuts_ok =
+        List.for_all
+          (fun c ->
+            let payloads, final, _ = stream_through (String.sub s 0 c) in
+            let k = c - start in
+            payloads = before
+            &&
+            if k = 0 then final = Wire.Eof
+            else if k < 4 then final = Wire.Truncated { wanted = 4; got = k }
+            else
+              final
+              = Wire.Truncated { wanted = String.length last - 4; got = k - 4 })
+          (List.init (String.length last) (fun k -> start + k))
+      in
+      whole_ok && cuts_ok)
+
+let test_frame_io_capacity_bound () =
+  (* 20k small frames around one large one: the buffer grows only for
+     the frame that needs it, and stays within 2x of it, also when that
+     frame is just larger than the initial 16 KiB *)
+  let rng = Random.State.make [| 19 |] in
+  let small =
+    List.init 10_000 (fun i ->
+        Wire.encode_request
+          (Wire.Query { id = i; u = Random.State.int rng 1000; v = i }))
+  in
+  let mid_frame =
+    Wire.encode_response
+      (Wire.Stats_payload { id = 8; data = String.make 20_000 'y' })
+  in
+  List.iter
+    (fun one ->
+      let frames = List.concat [ small; [ one ]; small ] in
+      let s = String.concat "" frames in
+      let largest = String.length one in
+      let payloads, final, cap =
+        stream_through ~chunks:(List.init 40 (fun _ -> 16_384)) s
+      in
+      Test_util.check_int "every frame read" (List.length frames)
+        (List.length payloads);
+      Test_util.check_bool "payloads in order" true
+        (payloads = List.map payload_of frames);
+      Test_util.check_bool "then Eof" true (final = Wire.Eof);
+      Test_util.check_bool
+        (Printf.sprintf "capacity %d <= 2 x (largest frame + 4)" cap)
+        true
+        (cap <= 2 * (largest + 4)))
+    [ big_frame; mid_frame ]
+
+let test_frame_io_bad_header () =
+  (* a hostile length is refused once its four bytes are in, before any
+     allocation sized by it *)
+  List.iter
+    (fun (bytes, expect) ->
+      let _, final, cap = stream_through bytes in
+      Test_util.check_bool "header error" true (final = expect);
+      Test_util.check_int "no growth" 16_384 cap)
+    [
+      ("\xff\xff\xff\xff\x01", Wire.Negative_length (-1));
+      ("\x00\x00\x20\x00\x01", Wire.Oversized 0x200000);
+      ("\x00\x00\x00\x00", Wire.Bad_payload "empty frame: no opcode");
+    ]
+
+(* ----- router allocation per query (a forked 1-shard fleet) ----------- *)
+
+let test_router_alloc_per_query () =
+  let g, labels = worker_fixture () in
+  let n = Repro_graph.Graph.n g in
+  let r =
+    Router.create
+      { (Router.default_config g) with Router.labels = Some labels; shards = 1 }
+  in
+  Fun.protect ~finally:(fun () -> Router.shutdown r) @@ fun () ->
+  let queries = 2000 in
+  let pairs = Array.init queries (fun i -> (i mod n, (i * 7 + 3) mod n)) in
+  let answers = Array.make queries { Router.dist = 0; source = 0; degraded = true } in
+  for i = 0 to 99 do
+    let u, v = pairs.(i) in
+    ignore (Router.query r u v)
+  done;
+  let b0 = Gc.allocated_bytes () in
+  for i = 0 to queries - 1 do
+    let u, v = pairs.(i) in
+    answers.(i) <- Router.query r u v
+  done;
+  let per_query = (Gc.allocated_bytes () -. b0) /. float_of_int queries in
+  Test_util.check_bool "every answer exact and primary" true
+    (Array.for_all2
+       (fun (u, v) (a : Router.answer) ->
+         a.dist = Hub_label.query labels u v && not a.degraded)
+       pairs answers);
+  Test_util.check_bool
+    (Printf.sprintf "%.0f bytes allocated per query < 8 KiB" per_query)
+    true (per_query < 8192.)
+
+(* The router test forks, which OCaml 5 allows only while no domain has
+   ever been spawned: it runs first, and test_main.ml runs this suite
+   first. *)
 let suite =
   [
+    Alcotest.test_case "router allocation per query" `Quick
+      test_router_alloc_per_query;
     Alcotest.test_case "wire request roundtrip" `Quick test_wire_request_roundtrip;
     Alcotest.test_case "wire response roundtrip" `Quick
       test_wire_response_roundtrip;
@@ -455,4 +683,8 @@ let suite =
     Alcotest.test_case "worker exits on EOF" `Quick test_worker_shutdown_on_eof;
     Alcotest.test_case "worker rejects a primary/graph n mismatch" `Quick
       test_worker_rejects_n_mismatch;
+    prop_frame_io_stream;
+    Alcotest.test_case "frame_io capacity bound" `Quick
+      test_frame_io_capacity_bound;
+    Alcotest.test_case "frame_io bad header" `Quick test_frame_io_bad_header;
   ]

@@ -13,6 +13,12 @@
       partition, the worker restarted within its backoff budget, and
       the merged metrics snapshot byte-identical across two same-seed
       runs under the manual clock;
+   2b. chaos across a window boundary: in one 3-shard batch large
+      enough for two 256-request windows per shard, shard 1 is killed
+      and shard 2 corrupts a frame, both at frame 300 (inside the
+      second window) — every answer exact, degraded answers only from
+      the faulted shards' partitions, snapshot byte-identical across
+      same-seed runs;
    3. restart budget 0 — the shard quarantines and its partition
       degrades (exactly) forever;
    4. exec-mode workers: the real `hubhard serve worker` subprocess
@@ -150,6 +156,71 @@ let () =
     "scenario 2 (kill 1/3 mid-batch): ok — %d/%d degraded-but-exact, \
      snapshot stable\n%!"
     !degraded_total (Array.length queries)
+
+(* ----- 2b. kill and corrupt inside the second window of a batch ----- *)
+
+(* about 400 pairs per shard: every shard's share spans two windows *)
+let big_queries =
+  let rng = Random.State.make [| 78 |] in
+  Array.init 1200 (fun _ -> (Random.State.int rng n, Random.State.int rng n))
+
+let big_truth = Array.map (fun (u, v) -> Hub_label.query labels u v) big_queries
+
+let window_chaos_run () =
+  let cfg =
+    {
+      base_cfg with
+      Router.shards = 3;
+      partition = Partition.Hash;
+      chaos =
+        [
+          (1, Fault_injector.chaos ~after_frames:300 Fault_injector.Kill);
+          (2, Fault_injector.chaos ~after_frames:300 Fault_injector.Corrupt_frame);
+        ];
+    }
+  in
+  let router = Router.create cfg in
+  let answers = Router.query_batch router big_queries in
+  let snap = Router.merged_snapshot router in
+  Router.shutdown router;
+  (answers, snap, Metrics.to_json snap)
+
+let () =
+  let answers, snap, json1 = window_chaos_run () in
+  let _, _, json2 = window_chaos_run () in
+  check "window chaos: merged snapshot byte-identical across same-seed runs"
+    (json1 = json2);
+  let per_shard = Array.make 3 0 and degraded = Array.make 3 0 in
+  Array.iteri
+    (fun i (a : Router.answer) ->
+      let u, v = big_queries.(i) in
+      let owner = Partition.owner_of_pair Partition.Hash ~shards:3 ~n u v in
+      per_shard.(owner) <- per_shard.(owner) + 1;
+      check "window chaos: every answer exact" (a.Router.dist = big_truth.(i));
+      if a.Router.degraded then begin
+        degraded.(owner) <- degraded.(owner) + 1;
+        check "window chaos: degraded answers only from faulted shards"
+          (owner = 1 || owner = 2);
+        check "window chaos: degraded answers say so in the source"
+          (a.Router.source = Wire.source_router)
+      end)
+    answers;
+  check "window chaos: every shard's share spans two windows"
+    (Array.for_all (fun c -> c > 300) per_shard);
+  (* the kill lands on the 299th query answer (frame 1 was the ping's
+     Pong): the first 298 pairs were served, the rest of the share
+     degrades *)
+  check "window chaos: the killed shard degrades from the fault on"
+    (degraded.(1) = per_shard.(1) - 298);
+  let counter name = Option.value ~default:0 (Metrics.find_counter snap name) in
+  check "window chaos: the corrupted frame was retried"
+    (counter "router.retries" >= 1 && counter "router.bad_frames" >= 1);
+  check "window chaos: one restart, on the killed shard"
+    (counter "router.restarts" = 1);
+  Printf.printf
+    "scenario 2b (kill and corrupt at frame 300, second window): ok — \
+     %d/%d degraded-but-exact, snapshot stable\n%!"
+    (Array.fold_left ( + ) 0 degraded) (Array.length big_queries)
 
 (* ----- 3. zero restart budget => quarantine -------------------------- *)
 
