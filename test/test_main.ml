@@ -1,8 +1,6 @@
 let () =
   Alcotest.run "hubhard"
     [
-      (* first: its router test forks, which must happen before any
-         suite spawns a domain *)
       ("shard", Test_shard.suite);
       ("structures", Test_structures.suite);
       ("graph", Test_graph.suite);

@@ -1,10 +1,11 @@
 (* Unit tests for the sharded serving tier: Wire codec round-trips,
    partition slicing exactness, the supervisor state machine and
    backoff schedule, the metrics wire format, the worker frame loop
-   driven in-process over plain pipes, Frame_io over a socketpair, and
-   the router's allocation per query on a forked 1-shard fleet (the
-   chaos scenarios — kill, restart, quarantine — live in
-   test_shard_smoke.ml, which runs in a fresh domain-free process). *)
+   driven in-process over plain pipes and Frame_io over a socketpair.
+   Nothing here forks: the router's allocation per query on a forked
+   1-shard fleet is in test_shard_main.ml, and the chaos scenarios —
+   kill, restart, quarantine — live in test_shard_smoke.ml, both of
+   which run in a fresh domain-free process. *)
 
 open Repro_hub
 open Repro_shard
@@ -616,45 +617,8 @@ let test_frame_io_bad_header () =
       ("\x00\x00\x00\x00", Wire.Bad_payload "empty frame: no opcode");
     ]
 
-(* ----- router allocation per query (a forked 1-shard fleet) ----------- *)
-
-let test_router_alloc_per_query () =
-  let g, labels = worker_fixture () in
-  let n = Repro_graph.Graph.n g in
-  let r =
-    Router.create
-      { (Router.default_config g) with Router.labels = Some labels; shards = 1 }
-  in
-  Fun.protect ~finally:(fun () -> Router.shutdown r) @@ fun () ->
-  let queries = 2000 in
-  let pairs = Array.init queries (fun i -> (i mod n, (i * 7 + 3) mod n)) in
-  let answers = Array.make queries { Router.dist = 0; source = 0; degraded = true } in
-  for i = 0 to 99 do
-    let u, v = pairs.(i) in
-    ignore (Router.query r u v)
-  done;
-  let b0 = Gc.allocated_bytes () in
-  for i = 0 to queries - 1 do
-    let u, v = pairs.(i) in
-    answers.(i) <- Router.query r u v
-  done;
-  let per_query = (Gc.allocated_bytes () -. b0) /. float_of_int queries in
-  Test_util.check_bool "every answer exact and primary" true
-    (Array.for_all2
-       (fun (u, v) (a : Router.answer) ->
-         a.dist = Hub_label.query labels u v && not a.degraded)
-       pairs answers);
-  Test_util.check_bool
-    (Printf.sprintf "%.0f bytes allocated per query < 8 KiB" per_query)
-    true (per_query < 8192.)
-
-(* The router test forks, which OCaml 5 allows only while no domain has
-   ever been spawned: it runs first, and test_main.ml runs this suite
-   first. *)
 let suite =
   [
-    Alcotest.test_case "router allocation per query" `Quick
-      test_router_alloc_per_query;
     Alcotest.test_case "wire request roundtrip" `Quick test_wire_request_roundtrip;
     Alcotest.test_case "wire response roundtrip" `Quick
       test_wire_response_roundtrip;
