@@ -205,21 +205,29 @@ let mint_child t =
       a.a_next <- a.a_next + 1;
       Some c
 
-let trace_span t name ~span_id ~start =
-  match t.cur with
-  | None -> ()
-  | Some a ->
-      a.a_spans <-
-        {
-          Obs.Trace_ctx.trace_hi = a.a_ctx.hi;
-          trace_lo = a.a_ctx.lo;
-          span_id;
-          parent_id = a.a_parent;
-          name;
-          start_ns = start;
-          elapsed_ns = Int64.sub (t.clock ()) start;
-        }
-        :: a.a_spans
+let span_of a ~span_id ~parent_id name ~start ~elapsed =
+  {
+    Obs.Trace_ctx.trace_hi = a.a_ctx.hi;
+    trace_lo = a.a_ctx.lo;
+    span_id;
+    parent_id;
+    name;
+    start_ns = start;
+    elapsed_ns = elapsed;
+  }
+
+let add_span a (c : Obs.Trace_ctx.t) name ~start ~elapsed =
+  a.a_spans <-
+    span_of a ~span_id:c.span_id ~parent_id:a.a_parent name ~start ~elapsed
+    :: a.a_spans
+
+(* A child span under the current parent, ending now; [ctx] was minted
+   when the work began (an rpc that carried it) or at its end. *)
+let trace_span t name ~start ctx =
+  match (t.cur, ctx) with
+  | Some a, Some c ->
+      add_span a c name ~start ~elapsed:(Int64.sub (t.clock ()) start)
+  | _ -> ()
 
 (* Close the active trace; commit its spans iff it was head-sampled,
    force-sampled along the way, or slower than the configured
@@ -234,18 +242,16 @@ let trace_end t =
       in
       if Obs.Trace_ctx.recorded a.a_ctx || slow then begin
         Obs.Trace_ctx.record store
-          {
-            Obs.Trace_ctx.trace_hi = a.a_ctx.hi;
-            trace_lo = a.a_ctx.lo;
-            span_id = ctx_span_id a.a_ctx;
-            parent_id = 0L;
-            name = a.a_name;
-            start_ns = a.a_start;
-            elapsed_ns = elapsed;
-          };
+          (span_of a ~span_id:(ctx_span_id a.a_ctx) ~parent_id:0L a.a_name
+             ~start:a.a_start ~elapsed);
         List.iter (Obs.Trace_ctx.record store) (List.rev a.a_spans)
       end
   | _ -> t.cur <- None
+
+(* Run [f] as the query [name]'s trace, unless one is already open. *)
+let traced t name f =
+  let began = trace_begin t name in
+  Fun.protect ~finally:(fun () -> if began then trace_end t) f
 
 (* Exemplar thunk for the router's histograms: the current trace id,
    when its spans will be recorded. Evaluated after the timed work, so
@@ -255,6 +261,27 @@ let trace_exemplar t () =
   | Some a when Obs.Trace_ctx.recorded a.a_ctx ->
       Some (Obs.Trace_ctx.id_string a.a_ctx)
   | _ -> None
+
+(* One rpc span around a call to [shard] ([window] >= 0 numbers a batch
+   window). Its context rides the request frames, so the worker's own
+   span nests under it, and retries and recomputes inside [f] nest under
+   it too. *)
+let with_rpc_span t ~shard ~window f =
+  let ctx = mint_child t in
+  let t0 = t.clock () in
+  match (t.cur, ctx) with
+  | Some a, Some c ->
+      let saved = a.a_parent in
+      a.a_parent <- ctx_span_id c;
+      let res = f ctx in
+      a.a_parent <- saved;
+      let name =
+        if window < 0 then Printf.sprintf "rpc.shard%d" shard
+        else Printf.sprintf "rpc.shard%d.w%d" shard window
+      in
+      trace_span t name ~start:t0 ctx;
+      res
+  | _ -> f ctx
 
 (* ----- worker lifecycle --------------------------------------------- *)
 
@@ -285,6 +312,16 @@ let spawn_conn t shard ~with_chaos =
   let parent_fd, child_fd =
     Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0
   in
+  let started pid =
+    Unix.close child_fd;
+    let c_io = Frame_io.create parent_fd in
+    Some { c_pid = pid; c_io; c_stash = Hashtbl.create 16 }
+  in
+  let failed () =
+    Unix.close parent_fd;
+    Unix.close child_fd;
+    None
+  in
   match t.cfg.spawn with
   | Fork -> (
       match Unix.fork () with
@@ -298,24 +335,14 @@ let spawn_conn t shard ~with_chaos =
                (worker_config t.cfg ~shard ~with_chaos)
            with _ -> ());
           Unix._exit 0
-      | pid ->
-          Unix.close child_fd;
-          Some { c_pid = pid; c_io = Frame_io.create parent_fd; c_stash = Hashtbl.create 16 }
-      | exception Unix.Unix_error _ ->
-          Unix.close parent_fd;
-          Unix.close child_fd;
-          None)
+      | pid -> started pid
+      | exception Unix.Unix_error _ -> failed ())
   | Exec argv_of -> (
       let argv = argv_of ~shard in
       Unix.set_close_on_exec parent_fd;
       match Unix.create_process argv.(0) argv child_fd child_fd Unix.stderr with
-      | pid ->
-          Unix.close child_fd;
-          Some { c_pid = pid; c_io = Frame_io.create parent_fd; c_stash = Hashtbl.create 16 }
-      | exception Unix.Unix_error _ ->
-          Unix.close parent_fd;
-          Unix.close child_fd;
-          None)
+      | pid -> started pid
+      | exception Unix.Unix_error _ -> failed ())
 
 let reap pid =
   let rec go () =
@@ -334,15 +361,6 @@ let demote t shard =
       (try Unix.kill c.c_pid Sys.sigkill with Unix.Unix_error _ -> ());
       reap c.c_pid;
       t.conns.(shard) <- None
-
-let ping t conn =
-  let id = fresh_id t in
-  match send_frame conn (Wire.encode_request (Wire.Ping { id })) with
-  | Error _ -> false
-  | Ok () -> (
-      match recv_matching conn ~id ~until:(until t) with
-      | Ok (Wire.Pong { id = _ }) -> true
-      | Ok _ | Error _ -> false)
 
 let update_quarantine_gauge t =
   let q = ref 0 in
@@ -379,30 +397,107 @@ let crash t shard =
   event "router.crash" [ ("shard", Obs.Events.Int shard) ];
   apply_verdict t shard (Supervisor.on_crash t.sup shard)
 
+(* A worker that could not be spawned or never answered its ping. *)
+let spawn_failed t shard =
+  demote t shard;
+  apply_verdict t shard (Supervisor.on_crash t.sup shard)
+
+(* ----- the exchange: the one failure policy ------------------------- *)
+
+(* How much of the policy one request gets. Batch items and aggregate
+   shares are retried once; stats and trace fetches are judged but not
+   retried; a ping is only reported, its caller judges a lost one. *)
+type policy = Retry | No_retry | Probe
+
+(* Send [encode id] under a fresh id and [await] the answer; a failed
+   send is a crash. Every verdict but [Keep] demotes the shard, so after
+   one the caller sees [t.conns.(shard) = None]. A failed request
+   returns [lost ()], run where the failure is decided, so a fallback
+   nests inside any retry span. *)
+let rec exchange t shard conn ~policy ~lost ~extract encode =
+  let id = fresh_id t in
+  match send_frame conn (encode id) with
+  | Error _ ->
+      if policy <> Probe then crash t shard;
+      lost ()
+  | Ok () -> await t shard conn ~policy ~lost ~extract encode id
+
+(* Wait under the deadline for the response to [id] and classify it: a
+   response [extract] accepts is a success; a timeout, an unparseable
+   frame or a response of the wrong shape is soft; anything else (EOF,
+   truncation, a transport error) is a crash. *)
+and await t shard conn ~policy ~lost ~extract encode id =
+  match (policy, recv_matching conn ~id ~until:(until t)) with
+  | Probe, Ok resp -> ( match extract resp with Some x -> x | None -> lost ())
+  | Probe, Error _ -> lost ()
+  | _, Ok resp -> (
+      match extract resp with
+      | Some x ->
+          Supervisor.on_success t.sup shard;
+          x
+      | None ->
+          (* an Error_frame or a mismatched kind: soft, not retried *)
+          soft t shard conn ~policy:No_retry ~lost ~extract encode
+            t.ctr.m_bad_frames)
+  | _, Error Timeout ->
+      soft t shard conn ~policy ~lost ~extract encode t.ctr.m_timeouts
+  | _, Error e when is_soft e ->
+      soft t shard conn ~policy ~lost ~extract encode t.ctr.m_bad_frames
+  | _, Error _ ->
+      crash t shard;
+      lost ()
+
+(* Count a soft failure and take the supervisor's verdict; while it
+   keeps the shard, a [Retry] request goes once more under a fresh id. *)
+and soft t shard conn ~policy ~lost ~extract encode counter =
+  Obs.Metrics.incr counter;
+  match Supervisor.on_soft_failure t.sup shard with
+  | Supervisor.Keep when policy = Retry ->
+      Obs.Metrics.incr t.ctr.m_retries;
+      (* a retry is exactly the unlucky path tracing exists for: force
+         the trace and nest a retry span *)
+      force_cur t;
+      let rt0 = t.clock () in
+      let res = exchange t shard conn ~policy:No_retry ~lost ~extract encode in
+      trace_span t (Printf.sprintf "retry.shard%d" shard) ~start:rt0
+        (mint_child t);
+      res
+  | verdict ->
+      apply_verdict t shard verdict;
+      lost ()
+
+(* [exchange] for a caller that serves a lost request itself: [None]. *)
+let call t shard conn ~policy ?ctx ~extract req =
+  exchange t shard conn ~policy
+    ~lost:(fun () -> None)
+    ~extract:(fun resp -> Option.map Option.some (extract resp))
+    (fun id -> Wire.encode_request_ctx ?ctx (req id))
+
+let ping t shard conn =
+  call t shard conn ~policy:Probe
+    ~extract:(function Wire.Pong _ -> Some () | _ -> None)
+    (fun id -> Wire.Ping { id })
+  <> None
+
 let rec heal_shard t shard =
   match t.pending.(shard) with
   | None -> ()
   | Some ns -> (
       let b0 = t.clock () in
       wait_backoff t ns;
-      (match mint_child t with
-      | Some c ->
-          trace_span t
-            (Printf.sprintf "backoff.shard%d" shard)
-            ~span_id:(ctx_span_id c) ~start:b0
-      | None -> ());
+      trace_span t (Printf.sprintf "backoff.shard%d" shard) ~start:b0
+        (mint_child t);
       t.pending.(shard) <- None;
       Obs.Metrics.incr t.ctr.m_restarts;
       let conn = spawn_conn t shard ~with_chaos:false in
       t.conns.(shard) <- conn;
       match conn with
-      | Some c when ping t c ->
+      | Some c when ping t shard c ->
           Supervisor.on_restarted t.sup shard;
           event "router.restarted"
             [ ("shard", Obs.Events.Int shard); ("pid", Obs.Events.Int c.c_pid) ]
       | Some _ | None ->
-          demote t shard;
-          apply_verdict t shard (Supervisor.on_crash t.sup shard);
+          spawn_failed t shard;
           heal_shard t shard)
 
 let heal t =
@@ -478,16 +573,13 @@ let create cfg =
   for s = 0 to cfg.shards - 1 do
     let conn = spawn_conn t s ~with_chaos:true in
     t.conns.(s) <- conn;
-    (match conn with
+    match conn with
     | Some c ->
         event "router.spawn"
-          [ ("shard", Obs.Events.Int s); ("pid", Obs.Events.Int c.c_pid) ]
-    | None -> ());
-    match conn with
-    | Some c when ping t c -> Supervisor.on_success t.sup s
-    | Some _ | None ->
-        demote t s;
-        apply_verdict t s (Supervisor.on_crash t.sup s)
+          [ ("shard", Obs.Events.Int s); ("pid", Obs.Events.Int c.c_pid) ];
+        if ping t s c then Supervisor.on_success t.sup s
+        else spawn_failed t s
+    | None -> spawn_failed t s
   done;
   heal t;
   t
@@ -511,17 +603,9 @@ let degraded_local t ~opname ~shard f =
   Obs.Metrics.incr c;
   (match (t.cur, mint_child t) with
   | Some a, Some cc ->
-      a.a_spans <-
-        {
-          Obs.Trace_ctx.trace_hi = a.a_ctx.hi;
-          trace_lo = a.a_ctx.lo;
-          span_id = ctx_span_id cc;
-          parent_id = a.a_parent;
-          name = Printf.sprintf "recompute.shard%d.%s" shard opname;
-          start_ns = t0;
-          elapsed_ns = elapsed;
-        }
-        :: a.a_spans
+      add_span a cc
+        (Printf.sprintf "recompute.shard%d.%s" shard opname)
+        ~start:t0 ~elapsed
   | _ -> ());
   res
 
@@ -532,116 +616,56 @@ let fallback_answer t ~opname ~shard u v =
       in
       { dist; source = Wire.source_router; degraded = true })
 
-let answer_of_response resp =
-  match resp with
+let answer_of_response = function
   | Wire.Answer { dist; source; degraded; _ } -> Some { dist; source; degraded }
   | _ -> None
 
 (* One batch window on one shard: send every request in one write,
-   then collect in order. A soft failure burns one bounded retry for
-   its item; once the supervisor escalates (restart or quarantine) the
-   remaining items of the window degrade to the local fallback —
-   restarts wait for the batch boundary. Returns [false] when the shard
-   was demoted. *)
+   then collect in order, each item through [await]. Once the
+   supervisor escalates (restart or quarantine) the shard is gone and
+   the remaining items of the window degrade to the local fallback —
+   restarts wait for the batch boundary. *)
 let window_size = 256
 
 let run_window t shard conn ~opname ~wctx items out =
-  let fallback_answer t u v = fallback_answer t ~opname ~shard u v in
-  let encode_query id u v =
+  let encode u v id =
     Wire.encode_request_ctx ?ctx:wctx (Wire.Query { id; u; v })
   in
   let ids =
     Array.map
       (fun (_, u, v) ->
         let id = fresh_id t in
-        Frame_io.queue conn.c_io (encode_query id u v);
+        Frame_io.queue conn.c_io (encode u v id);
         id)
       items
   in
-  let sent = Result.is_ok (Frame_io.flush conn.c_io) in
-  let alive = ref true in
-  let crash_now () =
-    alive := false;
-    crash t shard
-  in
-  let soft_now () =
-    match Supervisor.on_soft_failure t.sup shard with
-    | Supervisor.Keep -> ()
-    | v ->
-        alive := false;
-        apply_verdict t shard v
-  in
+  (* a window that never went out is a crash *)
+  if Result.is_error (Frame_io.flush conn.c_io) then crash t shard;
   Array.iteri
     (fun i (idx, u, v) ->
-      if not !alive then out.(idx) <- fallback_answer t u v
-      else if not sent then begin
-        (* the window never went out *)
-        crash_now ();
-        out.(idx) <- fallback_answer t u v
-      end
-      else
-        let rec attempt ~id ~retried =
-          match recv_matching conn ~id ~until:(until t) with
-          | Ok resp -> (
-              match answer_of_response resp with
-              | Some a ->
-                  Supervisor.on_success t.sup shard;
-                  out.(idx) <- a
-              | None ->
-                  (* Error_frame or a mismatched kind: soft *)
-                  Obs.Metrics.incr t.ctr.m_bad_frames;
-                  soft_now ();
-                  out.(idx) <- fallback_answer t u v)
-          | Error e when is_soft e -> (
-              (match e with
-              | Timeout -> Obs.Metrics.incr t.ctr.m_timeouts
-              | Wire_err _ -> Obs.Metrics.incr t.ctr.m_bad_frames);
-              match Supervisor.on_soft_failure t.sup shard with
-              | Supervisor.Keep when not retried ->
-                  Obs.Metrics.incr t.ctr.m_retries;
-                  (* a retry is exactly the unlucky path tracing exists
-                     for: force the trace and nest a retry span *)
-                  force_cur t;
-                  let rt0 = t.clock () in
-                  let id' = fresh_id t in
-                  (match send_frame conn (encode_query id' u v) with
-                  | Ok () ->
-                      attempt ~id:id' ~retried:true;
-                      (match mint_child t with
-                      | Some c ->
-                          trace_span t
-                            (Printf.sprintf "retry.shard%d" shard)
-                            ~span_id:(ctx_span_id c) ~start:rt0
-                      | None -> ())
-                  | Error _ ->
-                      crash_now ();
-                      out.(idx) <- fallback_answer t u v)
-              | Supervisor.Keep -> out.(idx) <- fallback_answer t u v
-              | verdict ->
-                  alive := false;
-                  apply_verdict t shard verdict;
-                  out.(idx) <- fallback_answer t u v)
-          | Error _ ->
-              crash_now ();
-              out.(idx) <- fallback_answer t u v
-        in
-        attempt ~id:ids.(i) ~retried:false)
-    items;
-  !alive
+      let lost () = fallback_answer t ~opname ~shard u v in
+      out.(idx) <-
+        (match t.conns.(shard) with
+        | None -> lost ()
+        | Some _ ->
+            await t shard conn ~policy:Retry ~lost ~extract:answer_of_response
+              (encode u v) ids.(i)))
+    items
 
 let query_batch_named t ~opname pairs =
   if t.down then invalid_arg "Router.query_batch: router is shut down";
-  let began = trace_begin t ("router." ^ opname) in
-  Fun.protect
-    ~finally:(fun () -> if began then trace_end t)
-    (fun () ->
-      let n = Graph.n t.cfg.graph in
-      let owners =
-        Array.map
-          (fun (u, v) ->
-            Partition.owner_of_pair t.cfg.partition ~shards:t.cfg.shards ~n u v)
-          pairs
-      in
+  let n = Graph.n t.cfg.graph in
+  (* a bad pair is the caller's fault: refuse it before any frame goes
+     out, so no worker is charged a failure for it *)
+  let owners =
+    Array.map
+      (fun (u, v) ->
+        if u < 0 || v < 0 || u >= n || v >= n then
+          invalid_arg "Router.query_batch: vertex out of range";
+        Partition.owner_of_pair t.cfg.partition ~shards:t.cfg.shards ~n u v)
+      pairs
+  in
+  traced t ("router." ^ opname) (fun () ->
       heal t;
       let out =
         Array.make (Array.length pairs)
@@ -654,60 +678,33 @@ let query_batch_named t ~opname pairs =
         pairs;
       for s = 0 to t.cfg.shards - 1 do
         let items = Array.of_list (List.rev per_shard.(s)) in
-        if Array.length items > 0 then begin
-          Obs.Metrics.incr ~by:(Array.length items) t.ctr.m_queries;
+        let len = Array.length items in
+        if len > 0 then begin
+          Obs.Metrics.incr ~by:len t.ctr.m_queries;
           Obs.Metrics.observe_span ~clock:t.clock
             ~exemplar:(fun () -> trace_exemplar t ())
             t.ctr.m_latency
             (fun () ->
-              match t.conns.(s) with
-              | None ->
-                  Array.iter
-                    (fun (idx, u, v) ->
-                      out.(idx) <- fallback_answer t ~opname ~shard:s u v)
-                    items
-              | Some conn ->
-                  Hashtbl.reset conn.c_stash;
-                  let k = ref 0 in
-                  let wj = ref 0 in
-                  let continue = ref true in
-                  while !continue && !k < Array.length items do
-                    let stop = min (Array.length items) (!k + window_size) in
-                    let window = Array.sub items !k (stop - !k) in
-                    (match t.conns.(s) with
-                    | Some c ->
-                        (* one rpc span per shard window; retries and
-                           recomputes inside the window nest under it *)
-                        let wctx = mint_child t in
-                        let w0 = t.clock () in
-                        let saved =
-                          Option.map (fun a -> a.a_parent) t.cur
-                        in
-                        (match (t.cur, wctx) with
-                        | Some a, Some c -> a.a_parent <- ctx_span_id c
-                        | _ -> ());
-                        continue :=
-                          run_window t s c ~opname ~wctx window out;
-                        (match (t.cur, saved) with
-                        | Some a, Some p -> a.a_parent <- p
-                        | _ -> ());
-                        (match wctx with
-                        | Some c ->
-                            trace_span t
-                              (Printf.sprintf "rpc.shard%d.w%d" s !wj)
-                              ~span_id:(ctx_span_id c) ~start:w0
-                        | None -> ())
-                    | None -> continue := false);
-                    incr wj;
-                    if not !continue then
-                      (* degrade the unsent remainder of this shard's
-                         batch *)
-                      for j = stop to Array.length items - 1 do
-                        let idx, u, v = items.(j) in
-                        out.(idx) <- fallback_answer t ~opname ~shard:s u v
-                      done;
-                    k := stop
-                  done)
+              Option.iter (fun c -> Hashtbl.reset c.c_stash) t.conns.(s);
+              (* windows go out while the shard lives; one rpc span
+                 each, under which retries and recomputes nest *)
+              let rec send_windows k =
+                match t.conns.(s) with
+                | Some conn when k < len ->
+                    let stop = min len (k + window_size) in
+                    with_rpc_span t ~shard:s ~window:(k / window_size)
+                      (fun wctx ->
+                        run_window t s conn ~opname ~wctx
+                          (Array.sub items k (stop - k))
+                          out);
+                    send_windows stop
+                | _ -> k
+              in
+              (* degrade the unsent remainder of this shard's batch *)
+              for j = send_windows 0 to len - 1 do
+                let idx, u, v = items.(j) in
+                out.(idx) <- fallback_answer t ~opname ~shard:s u v
+              done)
         end
       done;
       out)
@@ -718,84 +715,6 @@ let query t u v = (query_batch_named t ~opname:"dist" [| (u, v) |]).(0)
 (* ----- aggregate operations ------------------------------------------ *)
 
 type op_result = { response : Obs.Ops.response; source : int; degraded : bool }
-
-(* One aggregate request to one shard, with the same failure taxonomy
-   as run_window: one bounded retry on a soft failure, supervisor
-   verdicts applied, crash on transport death. [extract] both matches
-   the expected payload kind and rejects malformed ones (a mismatch is
-   a soft failure). [None] means the caller must serve this shard's
-   share locally. *)
-let shard_call t shard ~extract make_req =
-  match t.conns.(shard) with
-  | None -> None
-  | Some conn ->
-      (* one rpc span per aggregate call; the context rides the frame
-         so the worker's own span nests under it *)
-      let wctx = mint_child t in
-      let t0 = t.clock () in
-      let saved = Option.map (fun a -> a.a_parent) t.cur in
-      (match (t.cur, wctx) with
-      | Some a, Some c -> a.a_parent <- ctx_span_id c
-      | _ -> ());
-      let finish res =
-        (match (t.cur, saved) with
-        | Some a, Some p -> a.a_parent <- p
-        | _ -> ());
-        (match wctx with
-        | Some c ->
-            trace_span t
-              (Printf.sprintf "rpc.shard%d" shard)
-              ~span_id:(ctx_span_id c) ~start:t0
-        | None -> ());
-        res
-      in
-      let rec attempt ~retried =
-        let id = fresh_id t in
-        match send_frame conn (Wire.encode_request_ctx ?ctx:wctx (make_req id))
-        with
-        | Error _ ->
-            crash t shard;
-            None
-        | Ok () -> (
-            match recv_matching conn ~id ~until:(until t) with
-            | Ok resp -> (
-                match extract resp with
-                | Some x ->
-                    Supervisor.on_success t.sup shard;
-                    Some x
-                | None -> (
-                    Obs.Metrics.incr t.ctr.m_bad_frames;
-                    match Supervisor.on_soft_failure t.sup shard with
-                    | Supervisor.Keep -> None
-                    | v ->
-                        apply_verdict t shard v;
-                        None))
-            | Error e when is_soft e -> (
-                (match e with
-                | Timeout -> Obs.Metrics.incr t.ctr.m_timeouts
-                | Wire_err _ -> Obs.Metrics.incr t.ctr.m_bad_frames);
-                match Supervisor.on_soft_failure t.sup shard with
-                | Supervisor.Keep when not retried ->
-                    Obs.Metrics.incr t.ctr.m_retries;
-                    force_cur t;
-                    let rt0 = t.clock () in
-                    let res = attempt ~retried:true in
-                    (match mint_child t with
-                    | Some c ->
-                        trace_span t
-                          (Printf.sprintf "retry.shard%d" shard)
-                          ~span_id:(ctx_span_id c) ~start:rt0
-                    | None -> ());
-                    res
-                | Supervisor.Keep -> None
-                | v ->
-                    apply_verdict t shard v;
-                    None)
-            | Error _ ->
-                crash t shard;
-                None)
-      in
-      finish (attempt ~retried:false)
 
 let owned_by_shard t =
   let n = Graph.n t.cfg.graph in
@@ -808,22 +727,19 @@ let owned_by_shard t =
 
 (* Local fallback for one shard's share of an aggregate: the search-only
    oracle answers the same restricted request exactly. *)
-let fb_row t ~opname ~shard ~source ~targets =
+let fb_op t ~opname ~shard req =
   degraded_local t ~opname ~shard (fun () ->
-      match
-        Resilient_oracle.op (Lazy.force t.fallback)
-          (Obs.Ops.One_to_many { source; targets })
-      with
-      | Obs.Ops.R_dists ds, _ -> ds
-      | _ -> assert false (* One_to_many always yields R_dists *))
+      fst (Resilient_oracle.op (Lazy.force t.fallback) req))
 
-let fb_ecc t ~opname ~shard w =
-  degraded_local t ~opname ~shard (fun () ->
-      match
-        Resilient_oracle.op (Lazy.force t.fallback) (Obs.Ops.Eccentricity w)
-      with
-      | Obs.Ops.R_ecc e, _ -> e
-      | _ -> assert false (* Eccentricity always yields R_ecc *))
+let fb_row t ~opname ~shard ~source ~targets =
+  match fb_op t ~opname ~shard (Obs.Ops.One_to_many { source; targets }) with
+  | Obs.Ops.R_dists ds -> ds
+  | _ -> assert false (* One_to_many always yields R_dists *)
+
+(* [(w, d(source, w))] for each owned [w] *)
+let fb_owned_row t ~opname ~shard ~source ow =
+  let ds = fb_row t ~opname ~shard ~source ~targets:ow in
+  Array.mapi (fun i d -> (ow.(i), d)) ds
 
 type merge_acc = { mutable code : int; mutable dg : bool }
 
@@ -831,8 +747,42 @@ let bump acc ~code ~degraded =
   if code > acc.code then acc.code <- code;
   if degraded then acc.dg <- true
 
-let degrade acc =
-  bump acc ~code:Wire.source_router ~degraded:true
+(* The one per-shard loop of the aggregates. Shard [s] is asked for its
+   share [parts.(s)] (skipped when empty) under one rpc span, through
+   the exchange's [Retry] policy; [extract] takes the payload, its
+   source code and degraded flag from the reply. When the shard is down
+   or the call is lost, the router computes the share locally and
+   exactly with [local]. [f] folds each share's result in call order,
+   the last shard first when [descending]. *)
+let fold_shares t acc ~descending parts ~extract ~local req f init =
+  let k = Array.length parts in
+  let r = ref init in
+  for i = 0 to k - 1 do
+    let s = if descending then k - 1 - i else i in
+    let part = parts.(s) in
+    if Array.length part > 0 then begin
+      let result =
+        match t.conns.(s) with
+        | None -> None
+        | Some conn ->
+            with_rpc_span t ~shard:s ~window:(-1) (fun ctx ->
+                call t s conn ~policy:Retry ?ctx ~extract:(extract part)
+                  (req part))
+      in
+      let x =
+        match result with
+        | Some (x, code, degraded) ->
+            bump acc ~code ~degraded;
+            x
+        | None ->
+            let x = local ~shard:s part in
+            bump acc ~code:Wire.source_router ~degraded:true;
+            x
+      in
+      r := f !r s x
+    end
+  done;
+  !r
 
 (* Distances from [source] to every target, each target served by its
    owning shard (slice rows are exact at owned entries). *)
@@ -845,29 +795,18 @@ let row_op t acc ~opname ~source ~targets =
       let s = Partition.owner t.cfg.partition ~shards:t.cfg.shards ~n w in
       per_shard.(s) <- i :: per_shard.(s))
     targets;
-  for s = 0 to t.cfg.shards - 1 do
-    let idxs = Array.of_list (List.rev per_shard.(s)) in
-    if Array.length idxs > 0 then begin
-      let ts = Array.map (fun i -> targets.(i)) idxs in
-      let result =
-        shard_call t s
-          ~extract:(function
-            | Wire.Row_payload { dists; source; degraded; _ }
-              when Array.length dists = Array.length ts ->
-                Some (dists, source, degraded)
-            | _ -> None)
-          (fun id -> Wire.Op_row { id; source; targets = ts })
-      in
-      match result with
-      | Some (dists, code, degraded) ->
-          Array.iteri (fun j i -> out.(i) <- dists.(j)) idxs;
-          bump acc ~code ~degraded
-      | None ->
-          let ds = fb_row t ~opname ~shard:s ~source ~targets:ts in
-          Array.iteri (fun j i -> out.(i) <- ds.(j)) idxs;
-          degrade acc
-    end
-  done;
+  let idxs = Array.map (fun l -> Array.of_list (List.rev l)) per_shard in
+  fold_shares t acc ~descending:false
+    (Array.map (Array.map (fun i -> targets.(i))) idxs)
+    ~extract:(fun ts -> function
+      | Wire.Row_payload { dists; source; degraded; _ }
+        when Array.length dists = Array.length ts ->
+          Some (dists, source, degraded)
+      | _ -> None)
+    ~local:(fun ~shard ts -> fb_row t ~opname ~shard ~source ~targets:ts)
+    (fun ts id -> Wire.Op_row { id; source; targets = ts })
+    (fun () s ds -> Array.iteri (fun j i -> out.(i) <- ds.(j)) idxs.(s))
+    ();
   out
 
 (* The farthest owned (vertex, dist) witness of [v] per shard; the
@@ -875,34 +814,18 @@ let row_op t acc ~opname ~source ~targets =
    (each already the smallest-id in its shard, so the shared reducer
    reconstructs the global tie-break). *)
 let ecc_candidates t acc ~opname v =
-  let owned = owned_by_shard t in
-  let cands = ref [] in
-  for s = t.cfg.shards - 1 downto 0 do
-    let ow = owned.(s) in
-    if Array.length ow > 0 then begin
-      let result =
-        shard_call t s
-          ~extract:(function
-            | Wire.Ecc_payload { vertex; dist; source; degraded; _ }
-              when vertex >= 0 ->
-                Some (vertex, dist, source, degraded)
-            | _ -> None)
-          (fun id -> Wire.Op_ecc { id; v })
-      in
-      match result with
-      | Some (vertex, dist, code, degraded) ->
-          cands := (vertex, dist) :: !cands;
-          bump acc ~code ~degraded
-      | None ->
-          let ds = fb_row t ~opname ~shard:s ~source:v ~targets:ow in
-          (match Obs.Ops.farthest_of (Array.mapi (fun i d -> (ow.(i), d)) ds)
-           with
-          | Some c -> cands := c :: !cands
-          | None -> ());
-          degrade acc
-    end
-  done;
-  Array.of_list !cands
+  fold_shares t acc ~descending:true (owned_by_shard t)
+    ~extract:(fun _ -> function
+      | Wire.Ecc_payload { vertex; dist; source; degraded; _ } when vertex >= 0
+        ->
+          Some (Some (vertex, dist), source, degraded)
+      | _ -> None)
+    ~local:(fun ~shard ow ->
+      Obs.Ops.farthest_of (fb_owned_row t ~opname ~shard ~source:v ow))
+    (fun _ id -> Wire.Op_ecc { id; v })
+    (fun cands _ c -> match c with Some c -> c :: cands | None -> cands)
+    []
+  |> Array.of_list
 
 let op_uninstrumented t req =
   let opname = Obs.Ops.name req in
@@ -928,32 +851,20 @@ let op_uninstrumented t req =
               (fun source -> row_op t acc ~opname ~source ~targets)
               sources))
   | Obs.Ops.Top_k_nearest { source; k } ->
-      let owned = owned_by_shard t in
-      let cands = ref [] in
-      for s = t.cfg.shards - 1 downto 0 do
-        let ow = owned.(s) in
-        if Array.length ow > 0 then begin
-          let result =
-            shard_call t s
-              ~extract:(function
-                | Wire.Topk_payload { pairs; source; degraded; _ } ->
-                    Some (pairs, source, degraded)
-                | _ -> None)
-              (fun id -> Wire.Op_topk { id; source; k })
-          in
-          match result with
-          | Some (pairs, code, degraded) ->
-              cands := pairs :: !cands;
-              bump acc ~code ~degraded
-          | None ->
-              let ds = fb_row t ~opname ~shard:s ~source ~targets:ow in
-              cands := Array.mapi (fun i d -> (ow.(i), d)) ds :: !cands;
-              degrade acc
-        end
-      done;
+      let cands =
+        fold_shares t acc ~descending:true (owned_by_shard t)
+          ~extract:(fun _ -> function
+            | Wire.Topk_payload { pairs; source; degraded; _ } ->
+                Some (pairs, source, degraded)
+            | _ -> None)
+          ~local:(fun ~shard ow -> fb_owned_row t ~opname ~shard ~source ow)
+          (fun _ id -> Wire.Op_topk { id; source; k })
+          (fun cands _ c -> c :: cands)
+          []
+      in
       (* the global k smallest live in the union of per-shard k
          smallest *)
-      finish (Obs.Ops.R_nearest (Obs.Ops.k_nearest ~k (Array.concat !cands)))
+      finish (Obs.Ops.R_nearest (Obs.Ops.k_nearest ~k (Array.concat cands)))
   | Obs.Ops.Eccentricity v -> (
       match Obs.Ops.farthest_of (ecc_candidates t acc ~opname v) with
       | Some (_, d) -> finish (Obs.Ops.R_ecc d)
@@ -962,40 +873,30 @@ let op_uninstrumented t req =
       match Obs.Ops.farthest_of (ecc_candidates t acc ~opname v) with
       | Some (vertex, dist) -> finish (Obs.Ops.R_farthest { vertex; dist })
       | None -> finish (Obs.Ops.R_farthest { vertex = v; dist = 0 }))
+  | Obs.Ops.Diameter_radius when Graph.n t.cfg.graph = 0 ->
+      finish (Obs.Ops.R_diam_rad { diameter = 0; radius = 0 })
   | Obs.Ops.Diameter_radius ->
-      let owned = owned_by_shard t in
-      let dia = ref 0 and rad = ref max_int and saw = ref false in
-      for s = 0 to t.cfg.shards - 1 do
-        let ow = owned.(s) in
-        if Array.length ow > 0 then begin
-          saw := true;
-          let result =
-            shard_call t s
-              ~extract:(function
-                | Wire.Diam_payload
-                    { diameter; radius; vertices; source; degraded; _ }
-                  when vertices > 0 ->
-                    Some (diameter, radius, source, degraded)
-                | _ -> None)
-              (fun id -> Wire.Op_diam { id })
-          in
-          match result with
-          | Some (d, r, code, degraded) ->
-              if d > !dia then dia := d;
-              if r < !rad then rad := r;
-              bump acc ~code ~degraded
-          | None ->
-              Array.iter
-                (fun w ->
-                  let e = fb_ecc t ~opname ~shard:s w in
-                  if e > !dia then dia := e;
-                  if e < !rad then rad := e)
-                ow;
-              degrade acc
-        end
-      done;
-      if not !saw then finish (Obs.Ops.R_diam_rad { diameter = 0; radius = 0 })
-      else finish (Obs.Ops.R_diam_rad { diameter = !dia; radius = !rad })
+      let extremes (d, r) e = (max d e, min r e) in
+      let diameter, radius =
+        fold_shares t acc ~descending:false (owned_by_shard t)
+          ~extract:(fun _ -> function
+            | Wire.Diam_payload
+                { diameter; radius; vertices; source; degraded; _ }
+              when vertices > 0 ->
+                Some ((diameter, radius), source, degraded)
+            | _ -> None)
+          ~local:(fun ~shard ow ->
+            Array.fold_left
+              (fun dr w ->
+                match fb_op t ~opname ~shard (Obs.Ops.Eccentricity w) with
+                | Obs.Ops.R_ecc e -> extremes dr e
+                | _ -> assert false (* Eccentricity always yields R_ecc *))
+              (0, max_int) ow)
+          (fun _ id -> Wire.Op_diam { id })
+          (fun (d, r) _ (d', r') -> (max d d', min r r'))
+          (0, max_int)
+      in
+      finish (Obs.Ops.R_diam_rad { diameter; radius })
 
 let op t req =
   if t.down then invalid_arg "Router.op: router is shut down";
@@ -1005,10 +906,7 @@ let op t req =
   (* trace first, then heal: backoff waits spent healing show up as
      spans under this query's root, while the instrumented window below
      keeps its historical meaning (serve time only) *)
-  let began = trace_begin t ("router." ^ Obs.Ops.name req) in
-  Fun.protect
-    ~finally:(fun () -> if began then trace_end t)
-    (fun () ->
+  traced t ("router." ^ Obs.Ops.name req) (fun () ->
       heal t;
       Obs.Obs.instrument_op ~clock:t.clock
         ~exemplar:(fun () -> trace_exemplar t ())
@@ -1020,79 +918,55 @@ let supervisor t = t.sup
 let metrics t = t.reg
 let pid t shard = Option.map (fun c -> c.c_pid) t.conns.(shard)
 
-let merged_snapshot t =
+(* Ask every live worker, last shard first, for a report. A shard that
+   cannot give one is judged but not retried, and contributes nothing:
+   a failed fetch degrades the report, never the caller. Returns
+   [(shard, report)] in ascending shard order. *)
+let reports t ~extract req =
   heal t;
-  let snaps = ref [] in
+  let got = ref [] in
   for s = t.cfg.shards - 1 downto 0 do
     match t.conns.(s) with
     | None -> ()
     | Some conn -> (
-        let id = fresh_id t in
-        match send_frame conn (Wire.encode_request (Wire.Stats { id })) with
-        | Error _ -> crash t s
-        | Ok () -> (
-            match recv_matching conn ~id ~until:(until t) with
-            | Ok (Wire.Stats_payload { data; _ }) -> (
-                match Obs.Metrics.snapshot_of_wire data with
-                | Ok snap ->
-                    Supervisor.on_success t.sup s;
-                    snaps :=
-                      Obs.Metrics.prefix_snapshot (Printf.sprintf "shard%d." s)
-                        snap
-                      :: !snaps
-                | Error _ ->
-                    Obs.Metrics.incr t.ctr.m_bad_frames;
-                    apply_verdict t s (Supervisor.on_soft_failure t.sup s))
-            | Ok _ | Error (Wire_err (Wire.Bad_opcode _ | Wire.Bad_payload _))
-              ->
-                Obs.Metrics.incr t.ctr.m_bad_frames;
-                apply_verdict t s (Supervisor.on_soft_failure t.sup s)
-            | Error Timeout ->
-                Obs.Metrics.incr t.ctr.m_timeouts;
-                apply_verdict t s (Supervisor.on_soft_failure t.sup s)
-            | Error (Wire_err _) -> crash t s))
+        match call t s conn ~policy:No_retry ~extract req with
+        | Some x -> got := (s, x) :: !got
+        | None -> ())
   done;
-  Obs.Metrics.union_snapshots (Obs.Metrics.snapshot t.reg :: !snaps)
+  !got
+
+let merged_snapshot t =
+  let snaps =
+    reports t
+      ~extract:(function
+        | Wire.Stats_payload { data; _ } ->
+            Result.to_option (Obs.Metrics.snapshot_of_wire data)
+        | _ -> None)
+      (fun id -> Wire.Stats { id })
+  in
+  Obs.Metrics.union_snapshots
+    (Obs.Metrics.snapshot t.reg
+    :: List.map
+         (fun (s, snap) ->
+           Obs.Metrics.prefix_snapshot (Printf.sprintf "shard%d." s) snap)
+         snaps)
 
 (* Pull every live worker's span store, merge with the router's own,
-   and reassemble into one tree per trace. Failures follow the same
-   soft taxonomy as [merged_snapshot]: a shard that cannot report its
-   spans degrades the fetch, never the caller. *)
+   and reassemble into one tree per trace. *)
 let trace_trees t =
   match t.tstore with
   | None -> []
   | Some store ->
-      heal t;
-      let spans = ref (Obs.Trace_ctx.spans store) in
-      for s = t.cfg.shards - 1 downto 0 do
-        match t.conns.(s) with
-        | None -> ()
-        | Some conn -> (
-            let id = fresh_id t in
-            match
-              send_frame conn (Wire.encode_request (Wire.Trace_fetch { id }))
-            with
-            | Error _ -> crash t s
-            | Ok () -> (
-                match recv_matching conn ~id ~until:(until t) with
-                | Ok (Wire.Trace_payload { data; _ }) -> (
-                    match Obs.Trace_ctx.spans_of_wire data with
-                    | Ok sps ->
-                        Supervisor.on_success t.sup s;
-                        spans := !spans @ sps
-                    | Error _ ->
-                        Obs.Metrics.incr t.ctr.m_bad_frames;
-                        apply_verdict t s (Supervisor.on_soft_failure t.sup s))
-                | Ok _
-                | Error (Wire_err (Wire.Bad_opcode _ | Wire.Bad_payload _)) ->
-                    Obs.Metrics.incr t.ctr.m_bad_frames;
-                    apply_verdict t s (Supervisor.on_soft_failure t.sup s)
-                | Error Timeout ->
-                    Obs.Metrics.incr t.ctr.m_timeouts;
-                    apply_verdict t s (Supervisor.on_soft_failure t.sup s)
-                | Error (Wire_err _) -> crash t s))
-      done;
-      Obs.Trace_ctx.tree !spans
+      let fetched =
+        reports t
+          ~extract:(function
+            | Wire.Trace_payload { data; _ } ->
+                Result.to_option (Obs.Trace_ctx.spans_of_wire data)
+            | _ -> None)
+          (fun id -> Wire.Trace_fetch { id })
+      in
+      Obs.Trace_ctx.tree
+        (Obs.Trace_ctx.spans store @ List.concat (List.rev_map snd fetched))
 
 let shutdown t =
   if not t.down then begin
@@ -1104,9 +978,6 @@ let shutdown t =
         | Some c ->
             (try ignore (send_frame c (Wire.encode_request Wire.Shutdown))
              with _ -> ());
-            Frame_io.close c.c_io;
-            (try Unix.kill c.c_pid Sys.sigkill with Unix.Unix_error _ -> ());
-            reap c.c_pid;
-            t.conns.(s) <- None)
+            demote t s)
       t.conns
   end

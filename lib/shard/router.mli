@@ -116,11 +116,15 @@ val create : config -> t
 
 val query : t -> int -> int -> answer
 (** Routed single query; heals due restarts first.
-    @raise Invalid_argument on out-of-range endpoints. *)
+    @raise Invalid_argument on out-of-range endpoints (as {!query_batch})
+    or after {!shutdown}. *)
 
 val query_batch : t -> (int * int) array -> answer array
 (** Pipelined batch, one answer per pair, in order. Restarts are
-    healed before the batch and never during it. *)
+    healed before the batch and never during it.
+    @raise Invalid_argument if any endpoint lies outside [[0, n)] —
+    checked for every pair before any frame is sent, so a caller's bad
+    pair costs no worker a failure — or after {!shutdown}. *)
 
 type op_result = {
   response : Repro_obs.Ops.response;

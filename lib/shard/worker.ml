@@ -174,11 +174,23 @@ let run ~input ~output cfg =
     | Wire.Error_frame _ -> true
     | Wire.Pong _ | Wire.Stats_payload _ | Wire.Trace_payload _ -> false
   in
-  (* Wrap one request's handler in a child span of [ctx]. The span is
-     recorded when the context was (force-)sampled upstream, or when
-     this worker itself served a degraded/failed answer — the local
-     evidence for a trace the router will force-sample on its side. *)
-  let with_trace ctx opname compute =
+  (* One request's reply, in a child span of [ctx]. [f] builds it; a
+     bad request ([Invalid_argument]) becomes an [err_bad_request] frame,
+     and an op result of an unexpected shape ([None]) an
+     [err_unavailable] one. The span is recorded when the context was
+     (force-)sampled upstream, or when this worker itself served a
+     degraded/failed answer — the local evidence for a trace the router
+     will force-sample on its side. *)
+  let reply ctx opname id f =
+    let compute () =
+      match f () with
+      | Some resp -> resp
+      | None ->
+          let msg = "unexpected response shape" in
+          Wire.Error_frame { id; code = Wire.err_unavailable; msg }
+      | exception Invalid_argument msg ->
+          Wire.Error_frame { id; code = Wire.err_bad_request; msg }
+    in
     match ctx with
     | None ->
         cur_exemplar := None;
@@ -233,211 +245,117 @@ let run ~input ~output cfg =
         | Error (Frame_io.Wire_err e) -> Error e
         | Error Frame_io.Timeout -> Error Wire.Eof (* no deadline: unreachable *))
   in
-  let rec loop () =
-    match next_request () with
-    | Ok (Wire.Query { id; u; v }, ctx) ->
-        let resp =
-          with_trace ctx "dist" (fun () ->
-              match Obs.Backend.query_detailed backend u v with
-              | dist, trace ->
-                  let source =
-                    Wire.source_code_of_name trace.Obs.Trace.source
-                  in
-                  Wire.Answer
-                    {
-                      id;
-                      dist;
-                      source;
-                      degraded = source <> Wire.source_primary;
-                    }
-              | exception Invalid_argument msg ->
-                  Wire.Error_frame { id; code = Wire.err_bad_request; msg })
-        in
-        if send resp then loop ()
-    | Ok (Wire.Op_row { id; source; targets }, ctx) ->
-        let resp =
-          with_trace ctx "one_to_many" (fun () ->
-          match serve_op (Obs.Ops.One_to_many { source; targets }) with
-          | Obs.Ops.R_dists dists, src ->
-              let source = source_code src in
-              Wire.Row_payload
-                { id; dists; source; degraded = source <> Wire.source_primary }
-          | _ ->
-              Wire.Error_frame
-                {
-                  id;
-                  code = Wire.err_unavailable;
-                  msg = "unexpected response shape";
-                }
-          | exception Invalid_argument msg ->
-              Wire.Error_frame { id; code = Wire.err_bad_request; msg })
-        in
-        if send resp then loop ()
-    | Ok (Wire.Op_ecc { id; v }, ctx) ->
-        let resp =
-          with_trace ctx "eccentricity" (fun () ->
-          if Array.length owned = 0 then
-            Wire.Ecc_payload
-              {
-                id;
-                vertex = -1;
-                dist = 0;
-                source = Wire.source_primary;
-                degraded = false;
-              }
-          else
-            match serve_op (Obs.Ops.One_to_many { source = v; targets = owned })
-            with
-            | Obs.Ops.R_dists ds, src -> (
-                match
-                  Obs.Ops.farthest_of (Array.mapi (fun i d -> (owned.(i), d)) ds)
-                with
-                | Some (vertex, dist) ->
-                    let source = source_code src in
-                    Wire.Ecc_payload
-                      {
-                        id;
-                        vertex;
-                        dist;
-                        source;
-                        degraded = source <> Wire.source_primary;
-                      }
-                | None ->
-                    Wire.Error_frame
-                      {
-                        id;
-                        code = Wire.err_unavailable;
-                        msg = "empty reduction";
-                      })
-            | _ ->
-                Wire.Error_frame
-                  {
-                    id;
-                    code = Wire.err_unavailable;
-                    msg = "unexpected response shape";
-                  }
-            | exception Invalid_argument msg ->
-                Wire.Error_frame { id; code = Wire.err_bad_request; msg })
-        in
-        if send resp then loop ()
-    | Ok (Wire.Op_topk { id; source = s; k }, ctx) ->
-        let resp =
-          with_trace ctx "top_k_nearest" (fun () ->
-          if k < 0 then
-            Wire.Error_frame
-              {
-                id;
-                code = Wire.err_bad_request;
-                msg = "top-k: k must be non-negative";
-              }
-          else if Array.length owned = 0 then
-            Wire.Topk_payload
-              { id; pairs = [||]; source = Wire.source_primary; degraded = false }
-          else
-            match serve_op (Obs.Ops.One_to_many { source = s; targets = owned })
-            with
-            | Obs.Ops.R_dists ds, src ->
-                let pairs =
-                  Obs.Ops.k_nearest ~k
-                    (Array.mapi (fun i d -> (owned.(i), d)) ds)
-                in
+  let degraded source = source <> Wire.source_primary in
+  (* [(w, d(source, w))] for every owned [w], with the serving source *)
+  let owned_row source f =
+    match serve_op (Obs.Ops.One_to_many { source; targets = owned }) with
+    | Obs.Ops.R_dists ds, src ->
+        f (Array.mapi (fun i d -> (owned.(i), d)) ds) (source_code src)
+    | _ -> None
+  in
+  let respond ctx = function
+    | Wire.Query { id; u; v } ->
+        reply ctx "dist" id (fun () ->
+            let dist, trace = Obs.Backend.query_detailed backend u v in
+            let source = Wire.source_code_of_name trace.Obs.Trace.source in
+            Some (Wire.Answer { id; dist; source; degraded = degraded source }))
+    | Wire.Op_row { id; source; targets } ->
+        reply ctx "one_to_many" id (fun () ->
+            match serve_op (Obs.Ops.One_to_many { source; targets }) with
+            | Obs.Ops.R_dists dists, src ->
                 let source = source_code src in
-                Wire.Topk_payload
-                  { id; pairs; source; degraded = source <> Wire.source_primary }
-            | _ ->
-                Wire.Error_frame
-                  {
-                    id;
-                    code = Wire.err_unavailable;
-                    msg = "unexpected response shape";
-                  }
-            | exception Invalid_argument msg ->
-                Wire.Error_frame { id; code = Wire.err_bad_request; msg })
-        in
-        if send resp then loop ()
-    | Ok (Wire.Op_diam { id }, ctx) ->
-        let resp =
-          with_trace ctx "diameter_radius" (fun () ->
-          if Array.length owned = 0 then
-            Wire.Diam_payload
-              {
-                id;
-                diameter = 0;
-                radius = 0;
-                vertices = 0;
-                source = Wire.source_primary;
-                degraded = false;
-              }
-          else begin
-            (* one global eccentricity per owned vertex — exact on a
-               slice because the source is owned *)
-            let dia = ref 0
-            and rad = ref max_int
-            and code = ref Wire.source_primary
-            and bad = ref None in
-            Array.iter
-              (fun w ->
-                if !bad = None then
-                  match serve_op (Obs.Ops.Eccentricity w) with
-                  | Obs.Ops.R_ecc e, src ->
-                      if e > !dia then dia := e;
-                      if e < !rad then rad := e;
-                      let c = source_code src in
-                      if c > !code then code := c
-                  | _ ->
-                      bad :=
-                        Some
-                          (Wire.Error_frame
-                             {
-                               id;
-                               code = Wire.err_unavailable;
-                               msg = "unexpected response shape";
-                             })
-                  | exception Invalid_argument msg ->
-                      bad :=
-                        Some
-                          (Wire.Error_frame
-                             { id; code = Wire.err_bad_request; msg }))
-              owned;
-            match !bad with
-            | Some e -> e
-            | None ->
-                Wire.Diam_payload
-                  {
-                    id;
-                    diameter = !dia;
-                    radius = !rad;
-                    vertices = Array.length owned;
-                    source = !code;
-                    degraded = !code <> Wire.source_primary;
-                  }
-          end)
-        in
-        if send resp then loop ()
-    | Ok (Wire.Ping { id }, _) -> if send (Wire.Pong { id }) then loop ()
-    | Ok (Wire.Stats { id }, _) ->
+                Some
+                  (Wire.Row_payload
+                     { id; dists; source; degraded = degraded source })
+            | _ -> None)
+    | Wire.Op_ecc { id; v } ->
+        reply ctx "eccentricity" id (fun () ->
+            if Array.length owned = 0 then
+              Some
+                (Wire.Ecc_payload
+                   {
+                     id;
+                     vertex = -1;
+                     dist = 0;
+                     source = Wire.source_primary;
+                     degraded = false;
+                   })
+            else
+              owned_row v (fun row source ->
+                  Option.map
+                    (fun (vertex, dist) ->
+                      let degraded = degraded source in
+                      Wire.Ecc_payload { id; vertex; dist; source; degraded })
+                    (Obs.Ops.farthest_of row)))
+    | Wire.Op_topk { id; source = s; k } ->
+        reply ctx "top_k_nearest" id (fun () ->
+            if k < 0 then invalid_arg "top-k: k must be non-negative";
+            if Array.length owned = 0 then
+              Some
+                (Wire.Topk_payload
+                   {
+                     id;
+                     pairs = [||];
+                     source = Wire.source_primary;
+                     degraded = false;
+                   })
+            else
+              owned_row s (fun row source ->
+                  Some
+                    (Wire.Topk_payload
+                       {
+                         id;
+                         pairs = Obs.Ops.k_nearest ~k row;
+                         source;
+                         degraded = degraded source;
+                       })))
+    | Wire.Op_diam { id } ->
+        (* one global eccentricity per owned vertex — exact on a slice
+           because the source is owned *)
+        reply ctx "diameter_radius" id (fun () ->
+            let rec go i dia rad code =
+              if i = Array.length owned then
+                Some
+                  (Wire.Diam_payload
+                     {
+                       id;
+                       diameter = dia;
+                       radius = (if i = 0 then 0 else rad) (* owns none *);
+                       vertices = i;
+                       source = code;
+                       degraded = degraded code;
+                     })
+              else
+                match serve_op (Obs.Ops.Eccentricity owned.(i)) with
+                | Obs.Ops.R_ecc e, src ->
+                    let code = max code (source_code src) in
+                    go (i + 1) (max dia e) (min rad e) code
+                | _ -> None
+            in
+            go 0 0 max_int Wire.source_primary)
+    | Wire.Ping { id } -> Wire.Pong { id }
+    | Wire.Stats { id } ->
         (* no runtime-gauge sampling here: GC counters depend on the
            process's whole allocation history, and a forked worker's
            differs run to run — the merged snapshot must stay
            byte-identical across same-seed chaos runs *)
-        let data = Obs.Metrics.(snapshot_to_wire (snapshot metrics)) in
-        if send (Wire.Stats_payload { id; data }) then loop ()
-    | Ok (Wire.Trace_fetch { id }, _) ->
+        Wire.Stats_payload
+          { id; data = Obs.Metrics.(snapshot_to_wire (snapshot metrics)) }
+    | Wire.Trace_fetch { id } ->
         let data = Obs.Trace_ctx.spans_to_wire (Obs.Trace_ctx.spans tstore) in
-        if send (Wire.Trace_payload { id; data }) then loop ()
+        Wire.Trace_payload { id; data }
+    | Wire.Shutdown -> assert false (* the loop stops on Shutdown *)
+  in
+  let rec loop () =
+    match next_request () with
     | Ok (Wire.Shutdown, _) -> ignore (Frame_io.flush io)
+    | Ok (req, ctx) -> if send (respond ctx req) then loop ()
     | Error ((Wire.Bad_opcode _ | Wire.Bad_payload _) as e) ->
         (* the frame was read in full; the stream is still in sync *)
         Obs.Metrics.incr bad_frames;
-        let resp =
-          Wire.Error_frame
-            {
-              id = 0;
-              code = Wire.err_bad_request;
-              msg = Wire.error_to_string e;
-            }
-        in
-        if send resp then loop ()
+        let msg = Wire.error_to_string e in
+        if send (Wire.Error_frame { id = 0; code = Wire.err_bad_request; msg })
+        then loop ()
     | Error (Wire.Eof | Wire.Truncated _ | Wire.Negative_length _
             | Wire.Oversized _ | Wire.Io _) ->
         (* EOF or a desynchronised stream: nothing sane can follow *)

@@ -12,13 +12,13 @@
       labeling), degraded frames confined to the dead shard's
       partition, the worker restarted within its backoff budget, and
       the merged metrics snapshot byte-identical across two same-seed
-      runs under the manual clock;
+      runs under the manual clock, and its sha256 pinned;
    2b. chaos across a window boundary: in one 3-shard batch large
       enough for two 256-request windows per shard, shard 1 is killed
       and shard 2 corrupts a frame, both at frame 300 (inside the
       second window) — every answer exact, degraded answers only from
       the faulted shards' partitions, snapshot byte-identical across
-      same-seed runs;
+      same-seed runs and pinned;
    3. restart budget 0 — the shard quarantines and its partition
       degrades (exactly) forever;
    4. exec-mode workers: the real `hubhard serve worker` subprocess
@@ -45,6 +45,19 @@ let fail fmt =
 
 let check name b =
   if b then incr passed else fail "%s" name
+
+(* Pinned, not just repeatable: a change to the router's clock reads or
+   counters changes these bytes even when two runs of the changed code
+   still agree with each other. *)
+let check_pin name json pinned =
+  let h = Repro_par.Checksum.sha256_hex json in
+  if h <> pinned then fail "%s sha256 %s <> pinned %s" name h pinned;
+  incr passed
+
+let pinned_chaos_sha256 =
+  "16dc319d85d5fa9f7dac7f3d6ca073689f94a61fbac9f342a9f19dc9138b9cbb"
+let pinned_window_chaos_sha256 =
+  "29729d5401491f7a68f90bf61606868ebde906ce633f5ee0835b6b1639e86211"
 
 (* ----- fixture ------------------------------------------------------- *)
 
@@ -126,6 +139,7 @@ let () =
   let _, json2, _, _, _ = chaos_run () in
   check "chaos: merged snapshot byte-identical across same-seed runs"
     (json1 = json2);
+  check_pin "chaos: merged snapshot" json1 pinned_chaos_sha256;
   let degraded_total = ref 0 in
   Array.iteri
     (fun i (a : Router.answer) ->
@@ -190,6 +204,7 @@ let () =
   let _, _, json2 = window_chaos_run () in
   check "window chaos: merged snapshot byte-identical across same-seed runs"
     (json1 = json2);
+  check_pin "window chaos: merged snapshot" json1 pinned_window_chaos_sha256;
   let per_shard = Array.make 3 0 and degraded = Array.make 3 0 in
   Array.iteri
     (fun i (a : Router.answer) ->

@@ -9,7 +9,9 @@
       complete end-to-end trace trees — router span, per-shard rpc
       spans, the workers' own spans arriving over the wire, and the
       retry / backoff / degraded-recompute spans of the unlucky paths —
-      and exits 12 (degraded answers);
+      and exits 12 (degraded answers); the trace bytes' sha256 is
+      pinned, so a change to the router's clock reads or span order
+      fails here even when two runs of it agree;
    3. two same-seed runs, each its own process, produce sha256-identical
       trace bytes under --clock-step (determinism across process
       boundaries, not just within one);
@@ -112,6 +114,9 @@ let trace_run out_file metrics_file =
       metrics_file;
     ]
 
+let pinned_trace_sha256 =
+  "000d01e5dac442d4e7a4de93a177d93e80c40c740bd821a2aad290ce6c8a063c"
+
 let trace_a = Filename.temp_file "trace_smoke" ".jsonl"
 let trace_b = Filename.temp_file "trace_smoke" ".jsonl"
 let metrics_a = Filename.temp_file "trace_smoke" ".json"
@@ -136,7 +141,14 @@ let () =
       "shard0.dist"; "shard1.dist"; "shard2.dist"; "retry.shard1";
       "backoff.shard2"; "recompute.shard2.batch";
     ];
-  Printf.printf "scenario 2 (chaos trace trees complete): ok\n%!"
+  (* Pinned, not just repeatable: a change to the router's clock reads,
+     span order or span names changes these bytes even when two runs of
+     the changed code still agree with each other. *)
+  let h = sha256 traces in
+  if h <> pinned_trace_sha256 then
+    fail "trace bytes sha256 %s <> pinned %s" h pinned_trace_sha256;
+  incr passed;
+  Printf.printf "scenario 2 (chaos trace trees complete, pinned): ok\n%!"
 
 (* ----- 3. same-seed runs are byte-identical across processes --------- *)
 
