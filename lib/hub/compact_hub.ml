@@ -463,19 +463,17 @@ module Core = Label_store.Make (struct
   let n t = t.n
   let size t v = t.ent_off.(v + 1) - t.ent_off.(v)
 
-  (* decoded via the same clamped reader as the query path *)
-  let hubs t v =
+  (* one sequential pass with the query path's clamped reader *)
+  let fold_label t v f acc =
     let k = size t v in
-    if k = 0 then [||]
+    if k = 0 then acc
     else begin
       let c = cursor t v ~k in
-      let out = Array.make k (0, 0) in
-      out.(0) <- (c.h, c.d);
-      for i = 1 to k - 1 do
-        ignore (advance t.buf ~block:t.block c);
-        out.(i) <- (c.h, c.d)
+      let acc = ref (f acc c.h c.d) in
+      while advance t.buf ~block:t.block c do
+        acc := f !acc c.h c.d
       done;
-      out
+      !acc
     end
 
   let space_words t = (2 * (t.n + 1)) + ((t.blob_len + 7) / 8)

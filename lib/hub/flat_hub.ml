@@ -6,13 +6,6 @@ type layout = {
   data : int array; (* length 2 * offsets.(n); entry i = (data.(2i), data.(2i+1)) *)
 }
 
-let layout_hubs l v =
-  Array.init
-    (l.offsets.(v + 1) - l.offsets.(v))
-    (fun k ->
-      let e = l.offsets.(v) + k in
-      (l.data.(2 * e), l.data.((2 * e) + 1)))
-
 module Core = Label_store.Make (struct
   type t = layout
 
@@ -21,7 +14,15 @@ module Core = Label_store.Make (struct
   let kind = "flat"
   let n l = l.n
   let size l v = l.offsets.(v + 1) - l.offsets.(v)
-  let hubs = layout_hubs
+
+  let fold_label l v f acc =
+    let data = l.data in
+    let acc = ref acc in
+    for e = Array.unsafe_get l.offsets v to Array.unsafe_get l.offsets (v + 1) - 1 do
+      acc := f !acc (Array.unsafe_get data (2 * e)) (Array.unsafe_get data ((2 * e) + 1))
+    done;
+    !acc
+
   let space_words l = Array.length l.offsets + Array.length l.data
 
   (* The hot path. Walk the two interleaved runs with raw indices into
@@ -104,9 +105,7 @@ let total_size t =
   let l = format t in
   l.offsets.(l.n)
 
-let to_labels t =
-  let l = format t in
-  Hub_label.of_arrays ~n:l.n (Array.init l.n (layout_hubs l))
+let to_labels t = Hub_label.of_arrays ~n:(n t) (Array.init (n t) (hubs t))
 
 let equal a b = format a = format b
 

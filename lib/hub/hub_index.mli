@@ -1,5 +1,5 @@
-(** Inverted hub → vertices index: the shared fast path behind every
-    aggregate operation of the {!Repro_obs.Ops} algebra.
+(** Inverted hub → vertices index: the row kernel behind the aggregate
+    operations of the {!Repro_obs.Ops} algebra.
 
     A hub labeling stores, per vertex [v], the sorted hubset
     [S(v) = {(h, d(v, h))}]. This module transposes it once into CSR
@@ -12,11 +12,15 @@
 
     in O(sum of the touched hubs' inverted lists) — the technique of
     Ducoffe, "Eccentricity queries and beyond using Hub Labels"
-    (PAPERS.md). Eccentricity, farthest vertex, top-k nearest,
-    one-to-many and many-to-many all reduce over such rows; diameter
-    and radius fan the per-vertex rows out across the PR 5 domain
-    pool with per-index writes only, so answers are byte-identical
-    for any job count.
+    (PAPERS.md). Eccentricity, farthest vertex and top-k nearest reduce
+    such a row in place. The row is an n-word scratch array the index
+    reuses: a call takes one no other call holds and gives it back, so
+    a warm index allocates no row, concurrent domains never share one,
+    and [Many_to_many] and [Diameter_radius], which fan out across the
+    domain pool with per-index writes only, are byte-identical for
+    any job count. One-to-many goes through the caller's [targets]
+    kernel: {!Label_store.Make} picks between this row and its scatter
+    kernel by {!row_cost}.
 
     Correctness needs exactly the 2-hop cover property, so the index
     serves sliced labelings too ({!Partition.slice}): a row from
@@ -26,14 +30,18 @@
 
 type t
 
-val build : n:int -> hubs:(int -> (int * int) array) -> t
-(** Transpose [n] hubsets ([hubs v] = sorted [(hub, dist)] pairs of
-    vertex [v]) into the inverted index. O(total label size) time and
-    space, done once and reused across every subsequent operation.
-    The [hubs] accessor works for every store ({!Hub_label.hubs} and
-    the packed stores' [hubs]); {!Label_store.Make} wraps this module
-    into the [ops] backend of every packed store.
-    @raise Invalid_argument if a hub id falls outside [[0, n)]. *)
+type walk = int -> (int -> int -> int -> int) -> int -> int
+(** [walk v f acc] folds [f acc h d] over the [(hub, dist)] entries of
+    vertex [v]'s label, in hub order, without allocating — the store's
+    {!Label_store.FORMAT.fold_label} at [int]. *)
+
+val build : n:int -> walk:walk -> t
+(** Transpose [n] labels into the inverted index. O(total label size)
+    time and space, done once and reused across every subsequent
+    operation. {!Label_store.Make} wraps this module into the [ops]
+    backend of every packed store.
+    @raise Invalid_argument if a hub id falls outside [[0, n)] or a
+    distance outside [[0, Dist.inf)]. *)
 
 val n : t -> int
 
@@ -42,26 +50,36 @@ val total_size : t -> int
 
 val space_words : t -> int
 
-val row : t -> (int * int) array -> int array
-(** [row t s_hubs] is the full distance row of the source whose
-    hubset is [s_hubs]: entry [w] is the label distance from the
-    source to [w] ({!Repro_graph.Dist.inf} when the labels never meet).
-    @raise Invalid_argument if a hub id falls outside [[0, n)]. *)
+val row_cost : t -> walk:walk -> int -> int
+(** The entries the row kernel scans for source [s]: the sum of
+    [|inv(h)|] over the hubs [h] of [s]'s label.
+    @raise Invalid_argument on a source entry out of range (a hub
+    outside [[0, n)] or a distance outside [[0, Dist.inf)]). *)
+
+val with_row : t -> walk:walk -> int -> (int array -> 'a) -> 'a
+(** [with_row t ~walk s f] fills a scratch row with the label distance
+    from [s] to every vertex ({!Repro_graph.Dist.inf} where the labels
+    never meet) and returns [f row]. The row belongs to the index: it
+    is valid only during [f], and [f] must not keep it.
+    @raise Invalid_argument on a source entry out of range. *)
+
+val targets : t -> walk:walk -> int -> int array -> int array
+(** [targets t ~walk s ts] reads [ts]'s distances off [s]'s row. *)
 
 val eval :
   ?pool:Repro_par.Pool.t ->
   t ->
-  hubs:(int -> (int * int) array) ->
-  query:(int -> int -> int) ->
+  walk:walk ->
+  targets:(int -> int array -> int array) ->
   Repro_obs.Ops.request ->
   Repro_obs.Ops.response
-(** Evaluate any request. [hubs] fetches a source's hubset from the
-    owning store and [query] is that store's two-pointer point query
-    (used for [Dist] / [Batch], which never touch the index).
-    [Many_to_many] and [Diameter_radius] fan their independent rows
-    out across [pool] (default {!Repro_par.Pool.default}); all other
-    requests run on the calling domain. Responses follow the
-    {!Repro_obs.Ops} conventions and are byte-identical for any job
-    count.
+(** Evaluate an aggregate request. [targets s ts] is the store's
+    one-to-many kernel, used for [One_to_many] and for each row of
+    [Many_to_many]. [Many_to_many] and [Diameter_radius] fan their
+    independent rows out across [pool] (default
+    {!Repro_par.Pool.default}); all other requests run on the calling
+    domain. Responses follow the {!Repro_obs.Ops} conventions and are
+    byte-identical for any job count.
     @raise Invalid_argument on an invalid request
-    ({!Repro_obs.Ops.validate}). *)
+    ({!Repro_obs.Ops.validate}) or a point request ([Dist], [Batch]),
+    which the store answers with its own merge. *)

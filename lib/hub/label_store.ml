@@ -1,3 +1,5 @@
+open Repro_graph
+
 type error =
   | Io of string
   | Not_regular of string
@@ -72,7 +74,7 @@ module type FORMAT = sig
   val kind : string
   val n : t -> int
   val size : t -> int -> int
-  val hubs : t -> int -> (int * int) array
+  val fold_label : t -> int -> ('a -> int -> int -> 'a) -> 'a -> 'a
   val space_words : t -> int
   val raw_query : t -> int -> int -> int
 end
@@ -94,6 +96,12 @@ type cache = {
   mutable hits : int;
   mutable misses : int;
 }
+
+(* Scatter wins when its entries, weighted by this factor, are no more
+   than the row kernel's: the ratio of the two kernels' ns per entry,
+   measured on the n = 2000 bench fixture (docs/PERFORMANCE.md). *)
+let scatter_factor = 5
+let scatter_wins ~probed ~row_cost = scatter_factor * probed <= row_cost
 
 module Make (F : FORMAT) = struct
   (* [n] and the cache live here, not in the format, so the bounds
@@ -135,7 +143,9 @@ module Make (F : FORMAT) = struct
 
   let hubs t v =
     if not (in_range t v) then fail "hubs";
-    F.hubs t.fmt v
+    let out = Array.make (F.size t.fmt v) (0, 0) in
+    ignore (F.fold_label t.fmt v (fun i h d -> out.(i) <- (h, d); i + 1) 0);
+    out
 
   let key t u v = if u <= v then (u * t.n) + v else (v * t.n) + u
 
@@ -232,16 +242,55 @@ module Make (F : FORMAT) = struct
     Repro_obs.Backend.make ~name:F.backend_name ~space_words:(space_words t)
       ~detailed:(detailed t) (query t)
 
+  (* The scatter kernel: d(s, w) for every target w at the cost of
+     |L(s)| + sum |L(w)| entries. L(s) goes into a table indexed by hub
+     (all [Dist.inf] at rest), each target's label probes it, and the
+     table is reset. Hub ids come from the format, which may be a
+     shallow-validated file, so they are range-checked before they
+     index the table; sums saturate as in [raw_query]. *)
+  let scatter t tables s targets =
+    let fmt = t.fmt and n = t.n in
+    let tbl = Repro_par.Scratch.take tables in
+    let put () h d =
+      if h >= 0 && h < n && d < Array.unsafe_get tbl h then
+        Array.unsafe_set tbl h d
+    in
+    F.fold_label fmt s put ();
+    let probe best h d =
+      if h >= 0 && h < n then
+        let x = Dist.add (Array.unsafe_get tbl h) d in
+        if x < best then x else best
+      else best
+    in
+    let out = Array.map (fun w -> F.fold_label fmt w probe Dist.inf) targets in
+    F.fold_label fmt s
+      (fun () h _ -> if h >= 0 && h < n then Array.unsafe_set tbl h Dist.inf)
+      ();
+    Repro_par.Scratch.give tables tbl;
+    out
+
   let ops ?pool t =
-    let q = query t and h = hubs t and n = t.n in
-    let idx = lazy (Hub_index.build ~n ~hubs:h) in
+    let q = query t and n = t.n and fmt = t.fmt in
+    let walk : Hub_index.walk = F.fold_label fmt in
+    let idx = lazy (Hub_index.build ~n ~walk) in
+    let tables = Repro_par.Scratch.create (fun () -> Array.make n Dist.inf) in
+    let targets idx s ts =
+      let probed =
+        Array.fold_left (fun acc w -> acc + F.size fmt w) (F.size fmt s) ts
+      in
+      let row_cost = Hub_index.row_cost idx ~walk s in
+      if scatter_wins ~probed ~row_cost then scatter t tables s ts
+      else Hub_index.targets idx ~walk s ts
+    in
     let op req =
       match req with
       | Repro_obs.Ops.Dist _ | Repro_obs.Ops.Batch _ ->
           (* point queries run the format's merge and never force the
              inverted index *)
           Repro_obs.Ops.brute ~n ~query:q req
-      | _ -> Hub_index.eval ?pool (Lazy.force idx) ~hubs:h ~query:q req
+      | _ ->
+          let idx = Lazy.force idx in
+          Hub_index.eval ?pool idx ~walk ~targets:(targets idx) req
     in
     Repro_obs.Backend.make_ops ~name:F.backend_name
       ~space_words:(space_words t) ~detailed:(detailed t) ~op q

@@ -78,8 +78,13 @@ module type FORMAT = sig
   val size : t -> int -> int
   (** Hubset size of a vertex; the vertex is known to be in range. *)
 
-  val hubs : t -> int -> (int * int) array
-  (** Fresh sorted [(hub, dist)] pairs; the vertex is in range. *)
+  val fold_label : t -> int -> ('a -> int -> int -> 'a) -> 'a -> 'a
+  (** [fold_label t v f acc] folds [f acc h d] over the [(hub, dist)]
+      entries of [v]'s label in hub order, allocating nothing; the
+      vertex is in range. Entries are read as stored: on a
+      shallow-validated file a hub id or distance may be garbage, and
+      callers range-check hub ids before indexing with them. The
+      compressed format decodes the label in one pass. *)
 
   val space_words : t -> int
 
@@ -104,6 +109,14 @@ type packed = {
       (** over the default pool; the {!Hub_index} behind aggregates is
           built on first use and shared by every user of this value *)
 }
+
+val scatter_wins : probed:int -> row_cost:int -> bool
+(** The rule by which {!Make}'s [ops] picks a one-to-many kernel for
+    one source: scatter, which reads [probed = |L(s)| + sum |L(t)|]
+    label entries, or the row, which reads
+    [row_cost = sum |inv(h)|] over the hubs [h] of [L(s)]. Scatter
+    wins when [5 * probed <= row_cost]; 5 is the measured ratio of the
+    two kernels' ns per entry (docs/PERFORMANCE.md). *)
 
 (** {1 The serving core} *)
 
@@ -160,8 +173,16 @@ module Make (F : FORMAT) : sig
   val ops : ?pool:Repro_par.Pool.t -> t -> Repro_obs.Backend.ops
   (** [Dist] and [Batch] run the point query and never build the
       index; every aggregate runs over one {!Hub_index} built lazily on
-      first use. [Many_to_many] and [Diameter_radius] fan out across
-      [pool]; answers are byte-identical for any job count. *)
+      first use, and allocates no n-sized array per call once warm.
+      [Top_k_nearest], [Eccentricity], [Farthest] and [Diameter_radius]
+      reduce the index's reused row. Each row of [One_to_many] and
+      [Many_to_many] takes the cheaper of two kernels: the row, at
+      [sum |inv(h)|] entries over the source's hubs, or {e scatter},
+      at [|L(s)| + sum |L(t)|] entries — the source's label is written
+      into a reused table indexed by hub, each target's label probes
+      it, and the table is reset. {!scatter_wins} picks between them.
+      [Many_to_many] and [Diameter_radius] fan out across [pool];
+      answers are byte-identical for any job count and either kernel. *)
 
   val pack : t -> packed
 end

@@ -74,14 +74,19 @@ module Core = Label_store.Make (struct
   let n m = m.n
   let size m v = off m (v + 1) - off m v
 
-  let hubs m v =
+  (* Offsets are validated, so every entry index is inside the
+     mapping; hub and distance words are returned as stored. *)
+  let fold_label m v f acc =
+    let words = m.words in
     let base = 4 + m.n in
-    Array.init
-      (off m (v + 1) - off m v)
-      (fun k ->
-        let e = off m v + k in
-        ( Int64.to_int (A1.get m.words (base + (2 * e))),
-          Int64.to_int (A1.get m.words (base + (2 * e) + 1)) ))
+    let acc = ref acc in
+    for e = off m v to off m (v + 1) - 1 do
+      acc :=
+        f !acc
+          (Int64.to_int (A1.unsafe_get words (base + (2 * e))))
+          (Int64.to_int (A1.unsafe_get words (base + (2 * e) + 1)))
+    done;
+    !acc
 
   let space_words m = m.n + 1 + (2 * m.total)
 

@@ -190,25 +190,88 @@ let pp_response ppf r = Format.pp_print_string ppf (response_to_string r)
 
 (* ----- shared reducers ---------------------------------------------- *)
 
-let by_dist_then_vertex (v1, d1) (v2, d2) =
-  if d1 <> d2 then compare d1 d2 else compare v1 v2
+(* The reducers run over an indexed view — candidate [i] is
+   [(vertex i, dist i)] — so pairs, full rows and a shard's owned row
+   share one tie-break and build no candidate tuples. *)
+
+let before (d1 : int) (v1 : int) d2 v2 = d1 < d2 || (d1 = d2 && v1 < v2)
+
+(* The best [min k len] candidates go into a max-heap on
+   [(dist, vertex)] whose root is the worst one kept; a candidate
+   enters only by beating the root. Heap-sorting the survivors in place
+   then leaves them ascending: O(len log k) int compares and O(k)
+   space for every k. *)
+let select ~k len (vertex : int -> int) (dist : int -> int) =
+  if k < 0 then invalid_arg "Ops.k_nearest: k must be non-negative";
+  let m = min k len in
+  let hd = Array.make m 0 and hv = Array.make m 0 in
+  let set i d v =
+    hd.(i) <- d;
+    hv.(i) <- v
+  in
+  let below i j = before hd.(i) hv.(i) hd.(j) hv.(j) in
+  let swap i j =
+    let d = hd.(i) and v = hv.(i) in
+    set i hd.(j) hv.(j);
+    set j d v
+  in
+  let rec up i =
+    let p = (i - 1) / 2 in
+    if i > 0 && below p i then begin
+      swap p i;
+      up p
+    end
+  in
+  let rec down i size =
+    let l = (2 * i) + 1 in
+    if l < size then begin
+      let c = if l + 1 < size && below l (l + 1) then l + 1 else l in
+      if below i c then begin
+        swap i c;
+        down c size
+      end
+    end
+  in
+  for i = 0 to len - 1 do
+    let d = dist i and v = vertex i in
+    if i < m then begin
+      set i d v;
+      up i
+    end
+    else if m > 0 && before d v hd.(0) hv.(0) then begin
+      set 0 d v;
+      down 0 m
+    end
+  done;
+  for size = m - 1 downto 1 do
+    swap 0 size;
+    down 0 size
+  done;
+  Array.init m (fun j -> (hv.(j), hd.(j)))
+
+let farthest len (vertex : int -> int) (dist : int -> int) =
+  if len = 0 then None
+  else begin
+    let bv = ref (vertex 0) and bd = ref (dist 0) in
+    for i = 1 to len - 1 do
+      let d = dist i and v = vertex i in
+      if d > !bd || (d = !bd && v < !bv) then begin
+        bv := v;
+        bd := d
+      end
+    done;
+    Some (!bv, !bd)
+  end
 
 let k_nearest ~k pairs =
-  if k < 0 then invalid_arg "Ops.k_nearest: k must be non-negative";
-  let sorted = Array.copy pairs in
-  Array.sort by_dist_then_vertex sorted;
-  if k >= Array.length sorted then sorted else Array.sub sorted 0 k
+  select ~k (Array.length pairs) (fun i -> fst pairs.(i)) (fun i -> snd pairs.(i))
 
 let farthest_of pairs =
-  Array.fold_left
-    (fun acc (v, d) ->
-      match acc with
-      | None -> Some (v, d)
-      | Some (bv, bd) ->
-          if d > bd || (d = bd && v < bv) then Some (v, d) else acc)
-    None pairs
+  farthest (Array.length pairs) (fun i -> fst pairs.(i)) (fun i -> snd pairs.(i))
 
-let row_pairs row = Array.mapi (fun v d -> (v, d)) row
+let nearest_in ~k ~vertex ds = select ~k (Array.length ds) vertex (Array.get ds)
+let farthest_in ~vertex ds = farthest (Array.length ds) vertex (Array.get ds)
+
 
 (* ----- brute-force reference ----------------------------------------- *)
 

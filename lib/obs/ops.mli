@@ -93,15 +93,22 @@ val pp_response : Format.formatter -> response -> unit
 val k_nearest : k:int -> (int * int) array -> (int * int) array
 (** The [min k (length pairs)] smallest [(vertex, dist)] pairs of an
     unordered candidate set, sorted by [(dist, vertex)] ascending.
+    It keeps the best candidates in a bounded heap and sorts them at
+    the end: O(len log k) int compares and O(k) space, for any [k].
     @raise Invalid_argument if [k < 0]. *)
 
 val farthest_of : (int * int) array -> (int * int) option
 (** The pair with maximal [dist], smallest [vertex] on ties; [None]
     on the empty array. *)
 
-val row_pairs : int array -> (int * int) array
-(** A full distance row (indexed by vertex) as [(vertex, dist)]
-    candidates for the reducers above. *)
+val nearest_in : k:int -> vertex:(int -> int) -> int array -> (int * int) array
+(** [nearest_in ~k ~vertex ds] is [k_nearest ~k] over the candidates
+    [(vertex i, ds.(i))], without building them: a full row with
+    [vertex = Fun.id], or a shard's owned row with [vertex] its owned
+    vertex list. *)
+
+val farthest_in : vertex:(int -> int) -> int array -> (int * int) option
+(** [farthest_of] over the candidates [(vertex i, ds.(i))], likewise. *)
 
 val brute : n:int -> query:(int -> int -> int) -> request -> response
 (** Evaluate any request with point queries only — the {!Backend.lift}

@@ -339,10 +339,8 @@ let fallback_hops = function Primary -> 0 | Bidirectional -> 1 | Bfs -> 2
    exactly what one BFS per source yields. *)
 let fallback_response t req =
   let row s = Traversal.bfs t.graph s in
-  let pairs s = Ops.row_pairs (row s) in
-  let ecc_of s =
-    match Ops.farthest_of (pairs s) with Some (_, d) -> d | None -> 0
-  in
+  let farthest s = Ops.farthest_in ~vertex:Fun.id (row s) in
+  let ecc_of s = match farthest s with Some (_, d) -> d | None -> 0 in
   match req with
   | Ops.Dist { u; v } -> Ops.R_dist (row u).(v)
   | Ops.Batch ps ->
@@ -358,10 +356,10 @@ let fallback_response t req =
              Array.map (fun w -> r.(w)) targets)
            sources)
   | Ops.Top_k_nearest { source; k } ->
-      Ops.R_nearest (Ops.k_nearest ~k (pairs source))
+      Ops.R_nearest (Ops.nearest_in ~k ~vertex:Fun.id (row source))
   | Ops.Eccentricity v -> Ops.R_ecc (ecc_of v)
   | Ops.Farthest v -> (
-      match Ops.farthest_of (pairs v) with
+      match farthest v with
       | Some (vertex, dist) -> Ops.R_farthest { vertex; dist }
       | None -> Ops.R_farthest { vertex = v; dist = 0 })
   | Ops.Diameter_radius ->

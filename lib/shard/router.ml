@@ -91,6 +91,7 @@ type t = {
   clock : Obs.Clock.t;
   manual : Obs.Clock.manual option;  (* backoff waits advance this *)
   conns : conn option array;
+  owned : int array array;  (* each shard's vertices, ascending *)
   pending : int64 option array;  (* backoff still owed before respawn *)
   fallback : Resilient_oracle.t Lazy.t;
   next_id : int ref;
@@ -400,7 +401,7 @@ let crash t shard =
 (* A worker that could not be spawned or never answered its ping. *)
 let spawn_failed t shard =
   demote t shard;
-  apply_verdict t shard (Supervisor.on_crash t.sup shard)
+  crash t shard
 
 (* ----- the exchange: the one failure policy ------------------------- *)
 
@@ -507,6 +508,15 @@ let heal t =
 
 (* ----- construction -------------------------------------------------- *)
 
+let owned_by_shard cfg =
+  let n = Graph.n cfg.graph in
+  let buckets = Array.make cfg.shards [] in
+  for v = n - 1 downto 0 do
+    let s = Partition.owner cfg.partition ~shards:cfg.shards ~n v in
+    buckets.(s) <- v :: buckets.(s)
+  done;
+  Array.map Array.of_list buckets
+
 let create cfg =
   if cfg.shards < 1 then invalid_arg "Router.create: shards must be >= 1";
   (match Worker.primary_n (worker_primary cfg) with
@@ -552,6 +562,7 @@ let create cfg =
       clock;
       manual;
       conns = Array.make cfg.shards None;
+      owned = owned_by_shard cfg;
       pending = Array.make cfg.shards None;
       fallback = lazy (Resilient_oracle.create ~metrics:reg cfg.graph);
       next_id = ref 0;
@@ -716,15 +727,6 @@ let query t u v = (query_batch_named t ~opname:"dist" [| (u, v) |]).(0)
 
 type op_result = { response : Obs.Ops.response; source : int; degraded : bool }
 
-let owned_by_shard t =
-  let n = Graph.n t.cfg.graph in
-  let buckets = Array.make t.cfg.shards [] in
-  for v = n - 1 downto 0 do
-    let s = Partition.owner t.cfg.partition ~shards:t.cfg.shards ~n v in
-    buckets.(s) <- v :: buckets.(s)
-  done;
-  Array.map Array.of_list buckets
-
 (* Local fallback for one shard's share of an aggregate: the search-only
    oracle answers the same restricted request exactly. *)
 let fb_op t ~opname ~shard req =
@@ -735,11 +737,6 @@ let fb_row t ~opname ~shard ~source ~targets =
   match fb_op t ~opname ~shard (Obs.Ops.One_to_many { source; targets }) with
   | Obs.Ops.R_dists ds -> ds
   | _ -> assert false (* One_to_many always yields R_dists *)
-
-(* [(w, d(source, w))] for each owned [w] *)
-let fb_owned_row t ~opname ~shard ~source ow =
-  let ds = fb_row t ~opname ~shard ~source ~targets:ow in
-  Array.mapi (fun i d -> (ow.(i), d)) ds
 
 type merge_acc = { mutable code : int; mutable dg : bool }
 
@@ -814,14 +811,15 @@ let row_op t acc ~opname ~source ~targets =
    (each already the smallest-id in its shard, so the shared reducer
    reconstructs the global tie-break). *)
 let ecc_candidates t acc ~opname v =
-  fold_shares t acc ~descending:true (owned_by_shard t)
+  fold_shares t acc ~descending:true t.owned
     ~extract:(fun _ -> function
       | Wire.Ecc_payload { vertex; dist; source; degraded; _ } when vertex >= 0
         ->
           Some (Some (vertex, dist), source, degraded)
       | _ -> None)
     ~local:(fun ~shard ow ->
-      Obs.Ops.farthest_of (fb_owned_row t ~opname ~shard ~source:v ow))
+      Obs.Ops.farthest_in ~vertex:(Array.get ow)
+        (fb_row t ~opname ~shard ~source:v ~targets:ow))
     (fun _ id -> Wire.Op_ecc { id; v })
     (fun cands _ c -> match c with Some c -> c :: cands | None -> cands)
     []
@@ -852,12 +850,14 @@ let op_uninstrumented t req =
               sources))
   | Obs.Ops.Top_k_nearest { source; k } ->
       let cands =
-        fold_shares t acc ~descending:true (owned_by_shard t)
+        fold_shares t acc ~descending:true t.owned
           ~extract:(fun _ -> function
             | Wire.Topk_payload { pairs; source; degraded; _ } ->
                 Some (pairs, source, degraded)
             | _ -> None)
-          ~local:(fun ~shard ow -> fb_owned_row t ~opname ~shard ~source ow)
+          ~local:(fun ~shard ow ->
+            Obs.Ops.nearest_in ~k ~vertex:(Array.get ow)
+              (fb_row t ~opname ~shard ~source ~targets:ow))
           (fun _ id -> Wire.Op_topk { id; source; k })
           (fun cands _ c -> c :: cands)
           []
@@ -878,7 +878,7 @@ let op_uninstrumented t req =
   | Obs.Ops.Diameter_radius ->
       let extremes (d, r) e = (max d e, min r e) in
       let diameter, radius =
-        fold_shares t acc ~descending:false (owned_by_shard t)
+        fold_shares t acc ~descending:false t.owned
           ~extract:(fun _ -> function
             | Wire.Diam_payload
                 { diameter; radius; vertices; source; degraded; _ }

@@ -246,13 +246,13 @@ let run ~input ~output cfg =
         | Error Frame_io.Timeout -> Error Wire.Eof (* no deadline: unreachable *))
   in
   let degraded source = source <> Wire.source_primary in
-  (* [(w, d(source, w))] for every owned [w], with the serving source *)
+  (* [d(source, owned.(i))] for every [i], with the serving source *)
   let owned_row source f =
     match serve_op (Obs.Ops.One_to_many { source; targets = owned }) with
-    | Obs.Ops.R_dists ds, src ->
-        f (Array.mapi (fun i d -> (owned.(i), d)) ds) (source_code src)
+    | Obs.Ops.R_dists ds, src -> f ds (source_code src)
     | _ -> None
   in
+  let owned_vertex i = owned.(i) in
   let respond ctx = function
     | Wire.Query { id; u; v } ->
         reply ctx "dist" id (fun () ->
@@ -286,7 +286,7 @@ let run ~input ~output cfg =
                     (fun (vertex, dist) ->
                       let degraded = degraded source in
                       Wire.Ecc_payload { id; vertex; dist; source; degraded })
-                    (Obs.Ops.farthest_of row)))
+                    (Obs.Ops.farthest_in ~vertex:owned_vertex row)))
     | Wire.Op_topk { id; source = s; k } ->
         reply ctx "top_k_nearest" id (fun () ->
             if k < 0 then invalid_arg "top-k: k must be non-negative";
@@ -305,7 +305,7 @@ let run ~input ~output cfg =
                     (Wire.Topk_payload
                        {
                          id;
-                         pairs = Obs.Ops.k_nearest ~k row;
+                         pairs = Obs.Ops.nearest_in ~k ~vertex:owned_vertex row;
                          source;
                          degraded = degraded source;
                        })))

@@ -1,8 +1,8 @@
 (* The ops algebra, differentially: every implementation of the
-   request/response surface — Ops.brute over a point oracle, the
-   inverted-index fast paths behind Flat_hub.ops / Mmap_hub.ops, the
-   resilient oracle's per-op degradation, and the BFS/Dijkstra ground
-   truth — must produce equal responses, on random graphs (connected
+   request/response surface — Ops.brute over a point oracle, the row and
+   scatter kernels behind Flat_hub.ops / Mmap_hub.ops / Compact_hub.ops,
+   the resilient oracle's per-op degradation, and the BFS/Dijkstra
+   ground truth — must produce equal responses, on random graphs (connected
    and disconnected, so the inf conventions are exercised), weighted
    graphs, and the paper's G_{2,1} gadget. The string codec, the
    validation layer and the eight new Wire opcodes are pinned
@@ -33,19 +33,25 @@ let check_resp name ~expect got =
       (Ops.response_to_string got)
 
 (* A request battery covering all eight shapes, vertices drawn from
-   the seed. *)
+   the seed. One-to-many and many-to-many come with 4 targets and with
+   all n, one list on each side of the stores' kernel rule wherever the
+   labels are large enough to put 4 targets on the scatter side
+   (test_both_kernels makes sure they are). *)
 let requests_of ~seed n =
   let rng = Random.State.make [| seed |] in
   let v () = Random.State.int rng n in
+  let all = Array.init n Fun.id in
   [
     Ops.Dist { u = v (); v = v () };
     Ops.Batch (Array.init 3 (fun _ -> (v (), v ())));
     Ops.One_to_many { source = v (); targets = Array.init 4 (fun _ -> v ()) };
+    Ops.One_to_many { source = v (); targets = all };
     Ops.Many_to_many
       {
         sources = Array.init 2 (fun _ -> v ());
         targets = Array.init 3 (fun _ -> v ());
       };
+    Ops.Many_to_many { sources = Array.init 2 (fun _ -> v ()); targets = all };
     Ops.Top_k_nearest { source = v (); k = Random.State.int rng (n + 2) };
     Ops.Eccentricity (v ());
     Ops.Farthest (v ());
@@ -54,19 +60,31 @@ let requests_of ~seed n =
 
 (* ----- unweighted differential (connected + disconnected) ------------ *)
 
+(* Every packed store over the same labels: flat, mmap, and compact
+   both decoded from bytes (block 2, so labels span several blocks)
+   and mapped. *)
+let packed_ops flat =
+  [
+    ("flat-ops", Flat_hub.ops flat);
+    ("mmap-ops", Mmap_hub.ops (Test_util.mmap_of_flat ~deep:true flat));
+    ( "compact-ops",
+      Compact_hub.ops (Test_util.compact_of_flat ~deep:true ~block:2 flat) );
+    ( "compact-map-ops",
+      Compact_hub.ops (Test_util.compact_map_of_flat ~deep:true flat) );
+  ]
+
 let ops_backends g =
   let pll = Pll.build g in
   let flat = Flat_hub.of_labels pll in
-  let mm = Test_util.mmap_of_flat ~deep:true flat in
   [
     ("lifted-assoc", Backend.lift ~n:(Graph.n g) (Hub_label.backend pll));
-    ("flat-ops", Flat_hub.ops flat);
-    ("mmap-ops", Mmap_hub.ops mm);
   ]
+  @ packed_ops flat
 
 let diff_unweighted =
   Test_util.qcheck
-    "ops: lifted assoc = flat = mmap = oracle = BFS brute (inf included)"
+    "ops: lifted assoc = flat = mmap = compact = oracle = BFS brute (inf \
+     included)"
     ~count:50 Gen.small_graph_gen
     (fun ((_, _, seed) as params) ->
       let g = Gen.build_graph params in
@@ -97,7 +115,8 @@ let diff_unweighted =
 (* ----- weighted differential ----------------------------------------- *)
 
 let diff_weighted =
-  Test_util.qcheck "ops (weighted): flat = mmap = Dijkstra brute" ~count:30
+  Test_util.qcheck "ops (weighted): flat = mmap = compact = Dijkstra brute"
+    ~count:30
     (Gen.weighted_gen ~max_n:20 ~max_deg:3 ())
     (fun (((_, _, seed) as params), wseed) ->
       let w = Gen.build_weighted (params, wseed) in
@@ -105,16 +124,169 @@ let diff_weighted =
       let rows = Array.init n (fun s -> Dijkstra.distances w s) in
       let truth = Ops.brute ~n ~query:(fun u v -> rows.(u).(v)) in
       let labels = Pll.build_w w in
-      let flat = Flat_hub.of_labels labels in
-      let mm = Test_util.mmap_of_flat ~deep:true flat in
-      let fo = Flat_hub.ops flat and mo = Mmap_hub.ops mm in
+      let backends = packed_ops (Flat_hub.of_labels labels) in
       List.for_all
         (fun req ->
           let expect = truth req in
-          check_resp "flat-ops-w" ~expect (Backend.op fo req);
-          check_resp "mmap-ops-w" ~expect (Backend.op mo req);
+          List.iter
+            (fun (name, b) -> check_resp (name ^ "-w") ~expect (Backend.op b req))
+            backends;
           true)
         (requests_of ~seed n))
+
+(* ----- both one-to-many kernels, on labels large enough for both ----- *)
+
+(* The stores' rule, {!Label_store.scatter_wins}, applied to entry
+   counts recomputed from the labels. *)
+let scatter_side flat ~source ~targets =
+  let n = Flat_hub.n flat in
+  let inv = Array.make n 0 in
+  for v = 0 to n - 1 do
+    Array.iter (fun (h, _) -> inv.(h) <- inv.(h) + 1) (Flat_hub.hubs flat v)
+  done;
+  let row_cost =
+    Array.fold_left
+      (fun acc (h, _) -> acc + inv.(h))
+      0 (Flat_hub.hubs flat source)
+  in
+  let probed =
+    Array.fold_left
+      (fun acc w -> acc + Flat_hub.size flat w)
+      (Flat_hub.size flat source) targets
+  in
+  Label_store.scatter_wins ~probed ~row_cost
+
+let kernels_agree ~name ~n ~flat ~query =
+  let truth = Ops.brute ~n ~query in
+  let rng = Random.State.make [| n |] in
+  let v () = Random.State.int rng n in
+  let all = Array.init n Fun.id in
+  let scattered = ref 0 and rowed = ref 0 in
+  let reqs =
+    List.concat_map
+      (fun _ ->
+        let s = v () in
+        let four = Array.init 4 (fun _ -> v ()) in
+        if scatter_side flat ~source:s ~targets:four then incr scattered;
+        if not (scatter_side flat ~source:s ~targets:all) then incr rowed;
+        [
+          Ops.One_to_many { source = s; targets = four };
+          Ops.One_to_many { source = s; targets = all };
+          Ops.Many_to_many { sources = [| s; v () |]; targets = four };
+        ])
+      (List.init 8 Fun.id)
+  in
+  Alcotest.(check bool)
+    (name ^ ": 4 targets reach the scatter kernel")
+    true (!scattered > 0);
+  Alcotest.(check bool)
+    (name ^ ": all n targets take the row kernel")
+    true (!rowed = 8);
+  List.iter
+    (fun (store, b) ->
+      List.iter
+        (fun req ->
+          check_resp (name ^ " " ^ store) ~expect:(truth req) (Backend.op b req))
+        reqs)
+    (packed_ops flat)
+
+let test_both_kernels () =
+  let g = Generators.random_connected (Random.State.make [| 7 |]) ~n:400 ~m:800 in
+  let rows = Array.init (Graph.n g) (fun s -> Traversal.bfs g s) in
+  kernels_agree ~name:"unweighted" ~n:(Graph.n g)
+    ~flat:(Flat_hub.of_labels (Pll.build g))
+    ~query:(fun u v -> rows.(u).(v));
+  let w = Gen.build_weighted ~min_w:1 ((400, 800, 7), 11) in
+  let rows = Array.init (Wgraph.n w) (fun s -> Dijkstra.distances w s) in
+  kernels_agree ~name:"weighted" ~n:(Wgraph.n w)
+    ~flat:(Flat_hub.of_labels (Pll.build_w w))
+    ~query:(fun u v -> rows.(u).(v))
+
+(* ----- a shallow-opened file with a hostile entry -------------------- *)
+
+(* Shallow validation checks offsets only, so an entry's hub id or
+   distance may be anything. The aggregates must refuse it with a typed
+   error, and the resilient oracle must turn that into a degraded,
+   still exact answer — never an out-of-bounds access. *)
+let test_hostile_entry () =
+  let g = Gen.build_connected (40, 70, 5) in
+  let n = Graph.n g in
+  let flat = Flat_hub.of_labels (Pll.build g) in
+  let truth = truth_of g in
+  (* HUBFLAT1 words: magic, n, total, n + 1 offsets, then (hub, dist)
+     pairs; entry 0 is vertex 0's first *)
+  let hub_word = 4 + n in
+  List.iter
+    (fun (word, value) ->
+      let bytes = Bytes.of_string (Hub_io.flat_to_bytes flat) in
+      Bytes.set_int64_le bytes (8 * word) (Int64.of_int value);
+      let path = Filename.temp_file "hubhard_hostile" ".bin" in
+      let oc = open_out_bin path in
+      output_bytes oc bytes;
+      close_out oc;
+      let mm =
+        match Mmap_hub.load_res ~deep:false path with
+        | Ok m -> m
+        | Error e -> Alcotest.failf "shallow load: %s" (Mmap_hub.error_to_string e)
+      in
+      Sys.remove path;
+      let oracle =
+        Resilient_oracle.create ~spot_check_every:0
+          ~primary:(Resilient_oracle.store_primary (Mmap_hub.pack mm))
+          ~primary_ops:(Mmap_hub.ops mm) g
+      in
+      List.iter
+        (fun req ->
+          (match Backend.op (Mmap_hub.ops mm) req with
+          | exception Invalid_argument msg ->
+              Alcotest.(check bool)
+                ("typed error, not a bounds fault: " ^ msg)
+                true (msg <> "index out of bounds")
+          | _ -> Alcotest.fail "a hostile entry was served as primary");
+          let resp, src = Resilient_oracle.op oracle req in
+          check_resp "oracle over the hostile file" ~expect:(truth req) resp;
+          Alcotest.(check bool) "flagged degraded" true
+            (src <> Resilient_oracle.Primary))
+        [
+          Ops.One_to_many { source = 0; targets = [| 1; 2; 3; 4 |] };
+          Ops.One_to_many { source = 3; targets = Array.init n Fun.id };
+          Ops.Many_to_many { sources = [| 0; 9 |]; targets = [| 5; 6 |] };
+          Ops.Top_k_nearest { source = 0; k = 5 };
+          Ops.Eccentricity 0;
+          Ops.Farthest 7;
+          Ops.Diameter_radius;
+        ])
+    [ (hub_word, n + 5); (hub_word, -1); (hub_word + 1, -1); (hub_word + 1, Dist.inf) ]
+
+(* ----- warmed aggregates allocate no row ----------------------------- *)
+
+(* One op on a warmed n = 2000 store. An n-word row would be 2000 major
+   words (arrays past 256 words skip the minor heap), so staying under
+   256 shows the op reused its scratch row. The minor heap is emptied
+   first, so no minor collection promotes anything mid-op. *)
+let test_aggregates_allocate_no_row () =
+  let g =
+    Generators.random_connected (Random.State.make [| 20190721 |]) ~n:2000
+      ~m:4000
+  in
+  let flat = Flat_hub.of_labels (Pll.build g) in
+  let reqs =
+    [ Ops.Eccentricity 17; Ops.Farthest 17; Ops.Top_k_nearest { source = 17; k = 32 } ]
+  in
+  List.iter
+    (fun (store, b) ->
+      List.iter (fun req -> ignore (Backend.op b req)) reqs;
+      List.iter
+        (fun req ->
+          Gc.minor ();
+          let _, _, w0 = Gc.counters () in
+          ignore (Backend.op b req);
+          let _, _, w1 = Gc.counters () in
+          let words = w1 -. w0 in
+          if words >= 256. then
+            Alcotest.failf "%s %s: %.0f major words" store (Ops.name req) words)
+        reqs)
+    (packed_ops flat)
 
 (* ----- pinned inf conventions on a disconnected graph ---------------- *)
 
@@ -177,10 +349,28 @@ let topk_is_sorted_row =
       let flat = Flat_hub.of_labels (Pll.build g) in
       let got = Backend.op (Flat_hub.ops flat) (Ops.Top_k_nearest { source; k }) in
       let expect =
-        Ops.R_nearest (Ops.k_nearest ~k (Ops.row_pairs (Traversal.bfs g source)))
+        Ops.R_nearest
+          (Ops.k_nearest ~k (Array.mapi (fun v d -> (v, d)) (Traversal.bfs g source)))
       in
       check_resp "topk-row" ~expect got;
       true)
+
+(* ----- k_nearest = a plain sort, for every k -------------------------- *)
+
+(* Independent of the stores: random candidate sets with repeated
+   distances and repeated pairs, k from 0 past the set's size. *)
+let k_nearest_is_sort =
+  Test_util.qcheck "k_nearest = prefix of the (dist, vertex) sort" ~count:300
+    QCheck2.Gen.(
+      pair (int_range 0 200)
+        (list_size (int_range 0 150) (pair (int_range 0 40) (int_range 0 9))))
+    (fun (k, l) ->
+      let pairs = Array.of_list l in
+      let sorted =
+        List.sort (fun (v1, d1) (v2, d2) -> compare (d1, v1) (d2, v2)) l
+      in
+      let expect = List.filteri (fun i _ -> i < k) sorted in
+      Array.to_list (Ops.k_nearest ~k pairs) = expect)
 
 (* ----- pooled fan-out is jobs-invariant ------------------------------ *)
 
@@ -355,6 +545,13 @@ let suite =
       test_disconnected_pinned;
     Alcotest.test_case "G_{2,1} gadget ops" `Slow test_gadget;
     topk_is_sorted_row;
+    k_nearest_is_sort;
+    Alcotest.test_case "one-to-many: scatter and row kernels = truth" `Quick
+      test_both_kernels;
+    Alcotest.test_case "shallow file with an out-of-range hub id or distance"
+      `Quick test_hostile_entry;
+    Alcotest.test_case "warmed aggregates allocate no row" `Quick
+      test_aggregates_allocate_no_row;
     Alcotest.test_case "pooled ops are jobs-invariant" `Quick
       test_jobs_invariant;
     Alcotest.test_case "request string codec" `Quick

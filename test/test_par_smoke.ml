@@ -2,7 +2,9 @@
    HUBHARD_JOBS=2 in the environment: the resolved default pool must
    pick the env var up, and the three pinned artifacts — labeling,
    stats line, span JSON — must hash identically across jobs 1, 2 and
-   4 plus a repeated same-seed run. Exits nonzero on any mismatch. *)
+   4 plus a repeated same-seed run; batched point queries and pooled
+   aggregates (many-to-many, diameter/radius) on packed stores must
+   equal their jobs = 1 answers. Exits nonzero on any mismatch. *)
 
 open Repro_graph
 open Repro_hub
@@ -65,4 +67,40 @@ let () =
   let point = Array.map (fun (u, v) -> Flat_hub.query flat u v) pairs in
   check "query_many over default pool = point queries"
     (Flat_hub.query_many ~pool:(Pool.default ()) flat pairs = point);
+  (* pooled aggregates over the default pool = jobs 1: each task takes
+     its own scratch row or scatter table, whatever domain runs it *)
+  let compact =
+    match Compact_hub.of_bytes_res (Compact_hub.to_bytes ~block:4 flat) with
+    | Ok c -> c
+    | Error e -> failwith (Compact_hub.error_to_string e)
+  in
+  let stores =
+    [
+      ("flat", fun pool -> Flat_hub.ops ?pool flat);
+      ("compact", fun pool -> Compact_hub.ops ?pool compact);
+    ]
+  in
+  let aggregates =
+    [
+      Repro_obs.Ops.Many_to_many
+        { sources = Array.init 24 (fun i -> 2 * i); targets = [| 1; 7; 30 |] };
+      Repro_obs.Ops.Many_to_many
+        { sources = [| 3; 11; 40 |]; targets = Array.init 48 Fun.id };
+      Repro_obs.Ops.Diameter_radius;
+    ]
+  in
+  List.iter
+    (fun (store, ops) ->
+      let pooled = ops None in
+      Pool.with_pool ~jobs:1 (fun p1 ->
+          let serial = ops (Some p1) in
+          List.iter
+            (fun req ->
+              check
+                (Printf.sprintf "%s %s over default pool = jobs 1" store
+                   (Repro_obs.Ops.name req))
+                (Repro_obs.Backend.op pooled req
+                = Repro_obs.Backend.op serial req))
+            aggregates))
+    stores;
   if !failures > 0 then exit 1

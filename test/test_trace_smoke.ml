@@ -17,7 +17,9 @@
       boundaries, not just within one);
    4. every histogram exemplar in the merged metrics snapshot resolves
       to a trace id present in the trace output — the metrics-to-traces
-      link never dangles.
+      link never dangles;
+   5. a worker whose start-up ping fails is restarted and counted under
+      router.crashes, so the snapshot shows the restart's cause.
 
    Runs as its own executable: the router forks, so this binary stays
    strictly domain-free. The CLI path arrives as argv.(1). *)
@@ -197,7 +199,30 @@ let () =
     exemplar_ids;
   Printf.printf
     "scenario 4 (%d exemplar(s) resolve into the trace output): ok\n%!"
-    (List.length exemplar_ids);
+    (List.length exemplar_ids)
+
+(* ----- 5. a worker that fails its first ping counts as a crash ------- *)
+
+(* The corrupt fault on shard 1's first frame garbles its start-up pong:
+   the router restarts it, and the snapshot names the cause. *)
+let () =
+  let code, _ =
+    run_cli
+      [
+        "serve"; "trace"; "--graph-file"; graph_file; "--labels-file";
+        packed_file; "--shards"; "3"; "--partition"; "hash"; "--seed"; "23";
+        "--clock-step"; "1000"; "--queries"; queries_file; "--batch"; "16";
+        "--backoff-ms"; "1"; "--chaos"; "1:corrupt@1"; "--format"; "jsonl";
+        "--trace-out"; trace_b; "--metrics-out"; metrics_b;
+      ]
+  in
+  check "start-up fault run exits 0 (the restarted worker serves)" (code = 0);
+  let metrics = read_file metrics_b in
+  check "start-up fault: router.restarts 1"
+    (contains "\"router.restarts\": 1," metrics);
+  check "start-up fault: router.crashes 1"
+    (contains "\"router.crashes\": 1," metrics);
+  Printf.printf "scenario 5 (start-up ping failure counted as a crash): ok\n%!";
   List.iter Sys.remove
     [ packed_file; graph_file; queries_file; trace_a; trace_b; metrics_a;
       metrics_b ];
