@@ -17,6 +17,7 @@ open Repro_graph
 open Repro_hub
 open Repro_core
 module J = Hubbench_core.Json
+module Stats = Hubbench_core.Stats
 module Checksum = Repro_par.Checksum
 module Backend = Repro_obs.Backend
 module Ops = Repro_obs.Ops
@@ -113,10 +114,8 @@ let time_ns f =
   (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0), r)
 
 (* ns per item over [iters] calls of [f], each covering [per_call]
-   items, after one warm-up call (caches, lazy set-up) unless [warm] is
-   false. *)
-let ns_per ?(warm = true) ~iters ~per_call f =
-  if warm then f ();
+   items; the caller warms [f] up (caches, lazy set-up) first. *)
+let ns_per ~iters ~per_call f =
   let ns, () = time_ns (fun () -> for _ = 1 to iters do f () done) in
   ns /. float_of_int (iters * per_call)
 
@@ -224,7 +223,7 @@ let run_trace (fx : fixture) =
     in
     let answers = ref [||] in
     let ns =
-      ns_per ~warm:false ~iters ~per_call:fx.z.pairs (fun () ->
+      ns_per ~iters ~per_call:fx.z.pairs (fun () ->
           answers := Router.query_batch router fx.pairs)
     in
     let traces = List.length (Router.trace_trees router) in
@@ -292,11 +291,15 @@ let make_entries (fx : fixture) =
      flat), spot-checked primary, and the pure fallback chain (no
      labels, so every query runs the budgeted bidirectional search). *)
   let module R = Repro_serve.Resilient_oracle in
-  let serve_primary = R.create ~spot_check_every:0 ~labels:fx.labels fx.g in
+  let serve_primary =
+    R.create ~spot_check_every:0 ~primary:(R.hub_primary fx.labels) fx.g
+  in
   let serve_flat =
     R.create ~spot_check_every:0 ~primary:(R.flat_primary fx.flat) fx.g
   in
-  let serve_checked = R.create ~spot_check_every:8 ~labels:fx.labels fx.g in
+  let serve_checked =
+    R.create ~spot_check_every:8 ~primary:(R.hub_primary fx.labels) fx.g
+  in
   let serve_fallback = R.create fx.g in
   let sweep name q =
     (name, fun () -> Array.iter (fun (u, v) -> ignore (q u v : int)) fx.pairs)
@@ -441,7 +444,7 @@ let run_parallel (fx : fixture) =
         in
         let answers = ref [||] in
         let query_ns =
-          ns_per ~warm:false ~iters ~per_call:fx.z.pairs (fun () ->
+          ns_per ~iters ~per_call:fx.z.pairs (fun () ->
               answers := Flat_hub.query_many ~pool fx.flat fx.pairs)
         in
         let stats_line =
@@ -500,7 +503,12 @@ let run_parallel (fx : fixture) =
    the OCaml heap), point and query_many ns/query, ns/op for each of
    the eight Ops requests, and one sha256 over the point answers and
    the canonical ops responses, which must agree across every store: no
-   layout may trade correctness for speed or size. *)
+   layout may trade correctness for speed or size.
+
+   The timings run in [rounds] rounds, each visiting every store once in
+   an order rotated by one per round, so drift on a shared host lands on
+   every store alike; each (store, timing) reports the median and the
+   quartiles of its per-round figures. *)
 
 module type STORE = sig
   type t
@@ -515,10 +523,15 @@ type store =
   | Store :
       string * bool * (module STORE with type t = 's) * (unit -> 's) -> store
 
+(* One timing of one store: a run returns ns per item, and
+   [samples.(r)] is the run of round [r]. *)
+type timing = { label : string; run : unit -> float; samples : float array }
+
 let run_stores (fx : fixture) =
-  let iters = if fx.smoke then 2 else 200 in
+  let rounds = 5 in
+  let iters = if fx.smoke then 1 else 40 in
   let open_iters = if fx.smoke then 3 else 40 in
-  let ops_iters = if fx.smoke then 1 else 40 in
+  let ops_iters = if fx.smoke then 1 else 8 in
   let n = Graph.n fx.g in
   let write_tmp suffix bytes =
     let path = Filename.temp_file "hubhard_bench_stores" suffix in
@@ -572,9 +585,10 @@ let run_stores (fx : fixture) =
   in
   let named = List.map (fun r -> (Ops.name r, r)) reqs in
   let live () = Gc.compact (); (Gc.stat ()).Gc.live_words in
-  (* the baselines of the ratios: assoc and flat are measured first *)
-  let assoc_point = ref nan and parse_ms = ref nan in
-  let measure (Store (name, file, (module S), load)) =
+  (* the baseline of the open ratio: flat is opened before mmap and
+     compact *)
+  let parse_ms = ref nan in
+  let prepare (Store (name, file, (module S), load)) =
     let opened =
       if not file then []
       else begin
@@ -592,22 +606,7 @@ let run_stores (fx : fixture) =
       end
     in
     let st = load () in
-    let per_query = ns_per ~iters ~per_call:fx.z.pairs in
-    let point =
-      per_query (fun () ->
-          Array.iter (fun (u, v) -> ignore (S.query st u v : int)) fx.pairs)
-    in
-    let batch = per_query (fun () -> ignore (S.query_many st fx.pairs)) in
-    if name = "assoc" then assoc_point := point;
     let ops = S.ops st in
-    (* Diameter_radius scans all n^2 pairs: a twentieth of the calls *)
-    let op_ns req =
-      let iters =
-        if req = Ops.Diameter_radius then max 1 (ops_iters / 20) else ops_iters
-      in
-      num (ns_per ~iters ~per_call:1 (fun () -> ignore (Backend.op ops req)))
-    in
-    let op_times = obj op_ns named in
     let sha =
       Checksum.sha256_hex
         (String.concat "\n"
@@ -616,20 +615,58 @@ let run_stores (fx : fixture) =
                 (fun r -> Ops.response_to_string (Backend.op ops r))
                 reqs))
     in
+    (* the digest warmed the point and ops paths; warm the batch path *)
+    ignore (S.query_many st fx.pairs);
+    let timing label run = { label; run; samples = Array.make rounds 0. } in
+    let per_query label f =
+      timing label (fun () -> ns_per ~iters ~per_call:fx.z.pairs f)
+    in
+    (* Diameter_radius scans all n^2 pairs: one call per round *)
+    let op_ns (label, req) =
+      let iters = if req = Ops.Diameter_radius then 1 else ops_iters in
+      timing label (fun () ->
+          ns_per ~iters ~per_call:1 (fun () -> ignore (Backend.op ops req)))
+    in
+    ( name,
+      opened,
+      sha,
+      per_query "point" (fun () ->
+          Array.iter (fun (u, v) -> ignore (S.query st u v : int)) fx.pairs),
+      per_query "batch" (fun () -> ignore (S.query_many st fx.pairs)),
+      List.map op_ns named )
+  in
+  let timed = Array.of_list (List.map prepare stores) in
+  let k = Array.length timed in
+  for r = 0 to rounds - 1 do
+    for i = 0 to k - 1 do
+      let _, _, _, point, batch, ops = timed.((r + i) mod k) in
+      List.iter (fun t -> t.samples.(r) <- t.run ()) (point :: batch :: ops)
+    done
+  done;
+  let spread t =
+    let q1, med, q3 = Stats.quartiles t.samples in
+    (t.label, obj num [ ("median", med); ("q1", q1); ("q3", q3) ])
+  in
+  (* assoc is the first store: its median point query is the baseline *)
+  let _, _, _, assoc_point, _, _ = timed.(0) in
+  let speedup t =
+    let base = Stats.median assoc_point.samples in
+    (t.label, num ~d:3 (base /. Stats.median t.samples))
+  in
+  let result (name, opened, sha, point, batch, ops) =
     ( ( name,
         J.Obj
           (opened
           @ [
-              ("ns_per_query", obj num [ ("point", point); ("batch", batch) ]);
+              ("ns_per_query", J.Obj [ spread point; spread batch ]);
               ( "speedup_vs_assoc_point",
-                obj (fun t -> num ~d:3 (!assoc_point /. t))
-                  [ ("point", point); ("batch", batch) ] );
-              ("ns_per_op", op_times);
+                J.Obj [ speedup point; speedup batch ] );
+              ("ns_per_op", J.Obj (List.map spread ops));
               ("answers_sha256", J.Str sha);
             ]) ),
       (name, sha) )
   in
-  let results = List.map measure stores in
+  let results = Array.to_list (Array.map result timed) in
   List.iter Sys.remove [ flat1; flat2 ];
   let ps = Hub_stats.packed_sizes fx.flat in
   let both f a b = obj f [ ("flat1", a); ("flat2", b) ] in
@@ -646,6 +683,7 @@ let run_stores (fx : fixture) =
     ( "compression_ratio",
       num ~d:2 (float_of_int ps.flat1_bytes /. float_of_int ps.flat2_bytes) );
     ("queries", int fx.z.pairs);
+    ("rounds", int rounds);
     ("iters", int iters);
     ("ops_iters", int ops_iters);
     ("cold_open_best_of", int open_iters);

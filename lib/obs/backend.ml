@@ -9,8 +9,10 @@ type t = (module S)
 
 let name (module B : S) = B.name
 let space_words (module B : S) = B.space_words
-let query (module B : S) = B.query
-let query_detailed (module B : S) = B.query_detailed
+(* The accessors take every argument, so [query b u v] is one direct
+   call rather than a projection followed by an allocating apply. *)
+let query (module B : S) u v = B.query u v
+let query_detailed (module B : S) u v = B.query_detailed u v
 
 let make ~name ~space_words ?detailed q =
   let module B = struct
@@ -38,7 +40,7 @@ type ops = (module S_ops)
 
 let ops_name (module B : S_ops) = B.name
 let ops_space_words (module B : S_ops) = B.space_words
-let op (module B : S_ops) = B.op
+let op (module B : S_ops) req = B.op req
 let base (module B : S_ops) = (module B : S)
 
 let make_ops ~name ~space_words ?detailed ~op q =

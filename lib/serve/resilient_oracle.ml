@@ -26,92 +26,34 @@ type stats = {
 
 exception Over_budget
 
-(* Live counter handles into a caller-supplied registry, mirroring the
-   mutable stats fields one for one (see [stats] / the differential
-   test in test_obs.ml). *)
-type emitters = {
-  e_queries : Metrics.counter;
-  e_primary_answers : Metrics.counter;
-  e_fallback_answers : Metrics.counter;
-  e_spot_checks : Metrics.counter;
-  e_disagreements : Metrics.counter;
-  e_faults : Metrics.counter;
-  e_budget_exhausted : Metrics.counter;
-  e_validation_failures : Metrics.counter;
-  e_quarantines : Metrics.counter;
-}
+(* One incident counter: the [stats] field and its live
+   [resilient.<name>] metric, moved together by [bump] only. *)
+type counter = { mutable count : int; metric : Metrics.counter option }
 
-let emitters_of registry =
-  let c name = Metrics.counter registry ("resilient." ^ name) in
-  {
-    e_queries = c "queries";
-    e_primary_answers = c "primary_answers";
-    e_fallback_answers = c "fallback_answers";
-    e_spot_checks = c "spot_checks";
-    e_disagreements = c "disagreements";
-    e_faults = c "faults";
-    e_budget_exhausted = c "budget_exhausted";
-    e_validation_failures = c "validation_failures";
-    e_quarantines = c "quarantines";
-  }
+let bump c =
+  c.count <- c.count + 1;
+  match c.metric with Some m -> Metrics.incr m | None -> ()
 
 type t = {
   graph : Graph.t;
   primary : Backend.t option;
   primary_ops : Backend.ops option;
-  emit : emitters option;
   step_budget : int;
   spot_check_every : int;
   quarantine_after : int;
   mutable strikes : int;
   mutable is_quarantined : bool;
-  mutable queries : int;
   mutable primary_attempts : int;
-  mutable primary_answers : int;
-  mutable fallback_answers : int;
-  mutable spot_checks : int;
-  mutable disagreements : int;
-  mutable faults : int;
-  mutable budget_exhausted : int;
-  mutable validation_failures : int;
-  mutable quarantines : int;
+  queries : counter;
+  primary_answers : counter;
+  fallback_answers : counter;
+  spot_checks : counter;
+  disagreements : counter;
+  faults : counter;
+  budget_exhausted : counter;
+  validation_failures : counter;
+  quarantines : counter;
 }
-
-let note t sel = match t.emit with Some e -> Metrics.incr (sel e) | None -> ()
-
-let make ?(step_budget = max_int) ?(spot_check_every = 1)
-    ?(quarantine_after = 3) ?metrics ?primary_ops ~primary graph =
-  if step_budget <= 0 then
-    invalid_arg "Resilient_oracle: step_budget must be positive";
-  if quarantine_after <= 0 then
-    invalid_arg "Resilient_oracle: quarantine_after must be positive";
-  let primary_ops =
-    match (primary_ops, primary) with
-    | (Some _ as o), _ -> o
-    | None, Some p -> Some (Backend.lift ~n:(Graph.n graph) p)
-    | None, None -> None
-  in
-  {
-    graph;
-    primary;
-    primary_ops;
-    emit = Option.map emitters_of metrics;
-    step_budget;
-    spot_check_every;
-    quarantine_after;
-    strikes = 0;
-    is_quarantined = false;
-    queries = 0;
-    primary_attempts = 0;
-    primary_answers = 0;
-    fallback_answers = 0;
-    spot_checks = 0;
-    disagreements = 0;
-    faults = 0;
-    budget_exhausted = 0;
-    validation_failures = 0;
-    quarantines = 0;
-  }
 
 (* Budget-capped primaries over the label stores. The scan budget
    caps |S(u)| + |S(v)|; exceeding it raises [Over_budget], which the
@@ -121,15 +63,10 @@ let budget_capped base scan_cost = function
   | None -> base
   | Some budget ->
       let guard u v = if scan_cost u v > budget then raise Over_budget in
-      let detailed u v =
-        guard u v;
-        Backend.query_detailed base u v
-      in
       Backend.make ~name:(Backend.name base)
-        ~space_words:(Backend.space_words base) ~detailed
-        (fun u v ->
-          guard u v;
-          Backend.query base u v)
+        ~space_words:(Backend.space_words base)
+        ~detailed:(fun u v -> guard u v; Backend.query_detailed base u v)
+        (fun u v -> guard u v; Backend.query base u v)
 
 let hub_primary ?step_budget labels =
   budget_capped (Hub_label.backend labels)
@@ -145,30 +82,91 @@ let flat_primary ?step_budget s = store_primary ?step_budget (Flat_hub.pack s)
 let compact_primary ?step_budget s =
   store_primary ?step_budget (Compact_hub.pack s)
 
-let create ?step_budget ?spot_check_every ?quarantine_after ?metrics ?labels
-    ?primary ?primary_ops g =
-  let primary =
-    match (primary, labels) with
-    | Some _, Some _ ->
-        invalid_arg "Resilient_oracle.create: pass ~labels or ~primary, not both"
-    | Some b, None -> Some b
-    | None, Some l ->
-        if Hub_label.n l <> Graph.n g then
-          invalid_arg
-            "Resilient_oracle.create: labeling and graph disagree on n";
-        Some (hub_primary ?step_budget l)
-    | None, None -> None
+let create ?(step_budget = max_int) ?(spot_check_every = 1)
+    ?(quarantine_after = 3) ?metrics ?primary ?primary_ops graph =
+  if step_budget <= 0 then
+    invalid_arg "Resilient_oracle: step_budget must be positive";
+  if quarantine_after <= 0 then
+    invalid_arg "Resilient_oracle: quarantine_after must be positive";
+  let primary_ops =
+    match primary_ops with
+    | Some _ -> primary_ops
+    | None -> Option.map (Backend.lift ~n:(Graph.n graph)) primary
   in
-  make ?step_budget ?spot_check_every ?quarantine_after ?metrics ?primary_ops
-    ~primary g
+  let counter name =
+    {
+      count = 0;
+      metric =
+        Option.map (fun r -> Metrics.counter r ("resilient." ^ name)) metrics;
+    }
+  in
+  {
+    graph;
+    primary;
+    primary_ops;
+    step_budget;
+    spot_check_every;
+    quarantine_after;
+    strikes = 0;
+    is_quarantined = false;
+    primary_attempts = 0;
+    queries = counter "queries";
+    primary_answers = counter "primary_answers";
+    fallback_answers = counter "fallback_answers";
+    spot_checks = counter "spot_checks";
+    disagreements = counter "disagreements";
+    faults = counter "faults";
+    budget_exhausted = counter "budget_exhausted";
+    validation_failures = counter "validation_failures";
+    quarantines = counter "quarantines";
+  }
+
+(* The serving policy, written once for points, the pooled replay and
+   aggregates. A query the primary may take counts an [attempt]; then
+   exactly one of [failed] (it raised) and [answered] (it returned)
+   reports the outcome, and a due spot check ends in one [verdict]. *)
+
+let attempt t =
+  if t.is_quarantined then false
+  else begin
+    t.primary_attempts <- t.primary_attempts + 1;
+    true
+  end
 
 let strike t =
   t.strikes <- t.strikes + 1;
   if (not t.is_quarantined) && t.strikes >= t.quarantine_after then begin
     t.is_quarantined <- true;
-    t.quarantines <- t.quarantines + 1;
-    note t (fun e -> e.e_quarantines)
+    bump t.quarantines
   end
+
+(* [Over_budget] is a clean skip; any other exception is a fault and
+   a strike. The caller serves the fallback. *)
+let failed t = function
+  | Over_budget -> bump t.budget_exhausted
+  | _ ->
+      bump t.faults;
+      strike t
+
+(* True when the answer must be spot-checked first; otherwise it is
+   served and counted as a primary answer. *)
+let answered t =
+  let due =
+    t.spot_check_every > 0 && t.primary_attempts mod t.spot_check_every = 0
+  in
+  bump (if due then t.spot_checks else t.primary_answers);
+  due
+
+(* True serves the primary's answer; a disagreement strikes and serves
+   the fallback's. *)
+let verdict t agree =
+  if agree then bump t.primary_answers
+  else begin
+    bump t.disagreements;
+    strike t;
+    bump t.fallback_answers
+  end;
+  agree
 
 (* The chain below the primary. Plain BFS is the unbudgeted final
    authority: it always terminates with the exact answer. *)
@@ -176,66 +174,37 @@ let compute_fallback t u v =
   match Budget_search.bidirectional t.graph ~budget:t.step_budget u v with
   | Some d -> (d, Bidirectional)
   | None ->
-      t.budget_exhausted <- t.budget_exhausted + 1;
-      note t (fun e -> e.e_budget_exhausted);
+      bump t.budget_exhausted;
       ((Traversal.bfs t.graph u).(v), Bfs)
 
 let serve_fallback t u v =
-  let d, src = compute_fallback t u v in
-  t.fallback_answers <- t.fallback_answers + 1;
-  note t (fun e -> e.e_fallback_answers);
-  (d, src)
+  bump t.fallback_answers;
+  compute_fallback t u v
 
-let query_detailed t u v =
+(* Validate and count one point query. *)
+let admit t u v =
   let n = Graph.n t.graph in
   if u < 0 || u >= n || v < 0 || v >= n then begin
-    t.validation_failures <- t.validation_failures + 1;
-    note t (fun e -> e.e_validation_failures);
+    bump t.validation_failures;
     invalid_arg "Resilient_oracle.query: vertex out of range"
   end;
-  t.queries <- t.queries + 1;
-  note t (fun e -> e.e_queries);
+  bump t.queries
+
+let serve_answer t u v d =
+  if not (answered t) then (d, Primary)
+  else
+    let ((truth, _) as fallback) = compute_fallback t u v in
+    if verdict t (truth = d) then (d, Primary) else fallback
+
+let query_detailed t u v =
+  admit t u v;
   match t.primary with
-  | Some p when not t.is_quarantined -> (
-      t.primary_attempts <- t.primary_attempts + 1;
+  | Some p when attempt t -> (
       match Backend.query p u v with
-      | exception Over_budget ->
-          t.budget_exhausted <- t.budget_exhausted + 1;
-          note t (fun e -> e.e_budget_exhausted);
-          serve_fallback t u v
-      | exception _ ->
-          t.faults <- t.faults + 1;
-          note t (fun e -> e.e_faults);
-          strike t;
-          serve_fallback t u v
-      | d ->
-          let checked =
-            t.spot_check_every > 0
-            && t.primary_attempts mod t.spot_check_every = 0
-          in
-          if not checked then begin
-            t.primary_answers <- t.primary_answers + 1;
-            note t (fun e -> e.e_primary_answers);
-            (d, Primary)
-          end
-          else begin
-            t.spot_checks <- t.spot_checks + 1;
-            note t (fun e -> e.e_spot_checks);
-            let truth, src = compute_fallback t u v in
-            if truth = d then begin
-              t.primary_answers <- t.primary_answers + 1;
-              note t (fun e -> e.e_primary_answers);
-              (d, Primary)
-            end
-            else begin
-              t.disagreements <- t.disagreements + 1;
-              note t (fun e -> e.e_disagreements);
-              strike t;
-              t.fallback_answers <- t.fallback_answers + 1;
-              note t (fun e -> e.e_fallback_answers);
-              (truth, src)
-            end
-          end)
+      | d -> serve_answer t u v d
+      | exception e ->
+          failed t e;
+          serve_fallback t u v)
   | _ -> serve_fallback t u v
 
 let query t u v = fst (query_detailed t u v)
@@ -243,90 +212,41 @@ let query t u v = fst (query_detailed t u v)
 (* Batched queries. The primary's answers are pure given an honest
    backend, so they can be precomputed in parallel; every piece of
    accounting — counters, strikes, quarantine flips, fallback and
-   spot-check work — then replays sequentially in pair order, making
-   the stats trajectory indistinguishable from a [query_detailed]
-   loop. *)
-
-type primary_outcome = P_ans of int | P_over | P_exn
+   spot-check work — then replays sequentially in pair order through
+   the same policy, making the stats trajectory indistinguishable from
+   a [query_detailed] loop. *)
 
 let query_many_detailed ?pool t pairs =
-  match pool with
-  | None -> Array.map (fun (u, v) -> query_detailed t u v) pairs
-  | Some pool ->
-      let m = Array.length pairs in
-      let n = Graph.n t.graph in
+  match (pool, t.primary) with
+  | Some pool, Some p when not t.is_quarantined ->
       (* quarantine is permanent, so the primary is live for the whole
          batch iff it is live now; mid-batch strikes are honoured by
          the replay below *)
-      let pre =
-        match t.primary with
-        | Some p when not t.is_quarantined ->
-            let out = Array.make m P_exn in
-            Repro_par.Pool.parallel_for pool ~n:m (fun ~slot:_ lo hi ->
-                for k = lo to hi - 1 do
-                  let u, v = pairs.(k) in
-                  if u >= 0 && u < n && v >= 0 && v < n then
-                    out.(k) <-
-                      (match Backend.query p u v with
-                      | d -> P_ans d
-                      | exception Over_budget -> P_over
-                      | exception _ -> P_exn)
-                done);
-            Some out
-        | _ -> None
-      in
+      let n = Graph.n t.graph in
+      (* an out-of-range pair keeps the placeholder: [admit] rejects it *)
+      let out = Array.make (Array.length pairs) (Error Exit) in
+      Repro_par.Pool.parallel_for pool ~n:(Array.length pairs)
+        (fun ~slot:_ lo hi ->
+          for k = lo to hi - 1 do
+            let u, v = pairs.(k) in
+            if u >= 0 && u < n && v >= 0 && v < n then
+              out.(k) <-
+                (match Backend.query p u v with
+                | d -> Ok d
+                | exception e -> Error e)
+          done);
       Array.mapi
         (fun k (u, v) ->
-          if u < 0 || u >= n || v < 0 || v >= n then begin
-            t.validation_failures <- t.validation_failures + 1;
-            note t (fun e -> e.e_validation_failures);
-            invalid_arg "Resilient_oracle.query: vertex out of range"
-          end;
-          t.queries <- t.queries + 1;
-          note t (fun e -> e.e_queries);
-          match pre with
-          | Some out when not t.is_quarantined -> (
-              t.primary_attempts <- t.primary_attempts + 1;
-              match out.(k) with
-              | P_over ->
-                  t.budget_exhausted <- t.budget_exhausted + 1;
-                  note t (fun e -> e.e_budget_exhausted);
-                  serve_fallback t u v
-              | P_exn ->
-                  t.faults <- t.faults + 1;
-                  note t (fun e -> e.e_faults);
-                  strike t;
-                  serve_fallback t u v
-              | P_ans d ->
-                  let checked =
-                    t.spot_check_every > 0
-                    && t.primary_attempts mod t.spot_check_every = 0
-                  in
-                  if not checked then begin
-                    t.primary_answers <- t.primary_answers + 1;
-                    note t (fun e -> e.e_primary_answers);
-                    (d, Primary)
-                  end
-                  else begin
-                    t.spot_checks <- t.spot_checks + 1;
-                    note t (fun e -> e.e_spot_checks);
-                    let truth, src = compute_fallback t u v in
-                    if truth = d then begin
-                      t.primary_answers <- t.primary_answers + 1;
-                      note t (fun e -> e.e_primary_answers);
-                      (d, Primary)
-                    end
-                    else begin
-                      t.disagreements <- t.disagreements + 1;
-                      note t (fun e -> e.e_disagreements);
-                      strike t;
-                      t.fallback_answers <- t.fallback_answers + 1;
-                      note t (fun e -> e.e_fallback_answers);
-                      (truth, src)
-                    end
-                  end)
-          | _ -> serve_fallback t u v)
+          admit t u v;
+          if not (attempt t) then serve_fallback t u v
+          else
+            match out.(k) with
+            | Ok d -> serve_answer t u v d
+            | Error e ->
+                failed t e;
+                serve_fallback t u v)
         pairs
+  | _ -> Array.map (fun (u, v) -> query_detailed t u v) pairs
 
 let query_many ?pool t pairs =
   Array.map fst (query_many_detailed ?pool t pairs)
@@ -376,17 +296,14 @@ let fallback_response t req =
       end
 
 let serve_fallback_op t req =
-  let resp = fallback_response t req in
-  t.fallback_answers <- t.fallback_answers + 1;
-  note t (fun e -> e.e_fallback_answers);
-  (resp, Bfs)
+  bump t.fallback_answers;
+  (fallback_response t req, Bfs)
 
 let op t req =
   (match Ops.validate ~n:(Graph.n t.graph) req with
   | Ok () -> ()
   | Error msg ->
-      t.validation_failures <- t.validation_failures + 1;
-      note t (fun e -> e.e_validation_failures);
+      bump t.validation_failures;
       invalid_arg ("Resilient_oracle.op: " ^ msg));
   match req with
   | Ops.Dist { u; v } ->
@@ -396,75 +313,42 @@ let op t req =
       (* point queries keep their per-pair accounting (budgets, spot
          checks, strikes); the reported source is the deepest stage
          any pair degraded to *)
-      let src = ref Primary in
-      let ds =
-        Array.map
-          (fun (u, v) ->
-            let d, s = query_detailed t u v in
-            if fallback_hops s > fallback_hops !src then src := s;
-            d)
-          pairs
+      let served = query_many_detailed t pairs in
+      let deeper s (_, s') =
+        if fallback_hops s' > fallback_hops s then s' else s
       in
-      (Ops.R_dists ds, !src)
+      ( Ops.R_dists (Array.map fst served),
+        Array.fold_left deeper Primary served )
   | _ -> (
       (* an aggregate counts as one accepted query; degradation is
          all-or-nothing per request *)
-      t.queries <- t.queries + 1;
-      note t (fun e -> e.e_queries);
+      bump t.queries;
       match t.primary_ops with
-      | Some o when not t.is_quarantined -> (
-          t.primary_attempts <- t.primary_attempts + 1;
+      | Some o when attempt t -> (
           match Backend.op o req with
-          | exception Over_budget ->
-              t.budget_exhausted <- t.budget_exhausted + 1;
-              note t (fun e -> e.e_budget_exhausted);
-              serve_fallback_op t req
-          | exception _ ->
-              t.faults <- t.faults + 1;
-              note t (fun e -> e.e_faults);
-              strike t;
-              serve_fallback_op t req
           | resp ->
-              let checked =
-                t.spot_check_every > 0
-                && t.primary_attempts mod t.spot_check_every = 0
-              in
-              if not checked then begin
-                t.primary_answers <- t.primary_answers + 1;
-                note t (fun e -> e.e_primary_answers);
-                (resp, Primary)
-              end
-              else begin
-                t.spot_checks <- t.spot_checks + 1;
-                note t (fun e -> e.e_spot_checks);
+              if not (answered t) then (resp, Primary)
+              else
                 let truth = fallback_response t req in
-                if Ops.equal_response truth resp then begin
-                  t.primary_answers <- t.primary_answers + 1;
-                  note t (fun e -> e.e_primary_answers);
+                if verdict t (Ops.equal_response truth resp) then
                   (resp, Primary)
-                end
-                else begin
-                  t.disagreements <- t.disagreements + 1;
-                  note t (fun e -> e.e_disagreements);
-                  strike t;
-                  t.fallback_answers <- t.fallback_answers + 1;
-                  note t (fun e -> e.e_fallback_answers);
-                  (truth, Bfs)
-                end
-              end)
+                else (truth, Bfs)
+          | exception e ->
+              failed t e;
+              serve_fallback_op t req)
       | _ -> serve_fallback_op t req)
 
 let stats t =
   {
-    queries = t.queries;
-    primary_answers = t.primary_answers;
-    fallback_answers = t.fallback_answers;
-    spot_checks = t.spot_checks;
-    disagreements = t.disagreements;
-    faults = t.faults;
-    budget_exhausted = t.budget_exhausted;
-    validation_failures = t.validation_failures;
-    quarantines = t.quarantines;
+    queries = t.queries.count;
+    primary_answers = t.primary_answers.count;
+    fallback_answers = t.fallback_answers.count;
+    spot_checks = t.spot_checks.count;
+    disagreements = t.disagreements.count;
+    faults = t.faults.count;
+    budget_exhausted = t.budget_exhausted.count;
+    validation_failures = t.validation_failures.count;
+    quarantines = t.quarantines.count;
   }
 
 let quarantined t = t.is_quarantined
@@ -472,9 +356,7 @@ let primary_name t = Option.map Backend.name t.primary
 
 let backend t =
   let name =
-    match primary_name t with
-    | Some p -> "resilient(" ^ p ^ ")"
-    | None -> "resilient(search)"
+    "resilient(" ^ Option.value ~default:"search" (primary_name t) ^ ")"
   in
   let space =
     (2 * Graph.m t.graph) + Graph.n t.graph

@@ -58,17 +58,15 @@ val create :
   ?spot_check_every:int ->
   ?quarantine_after:int ->
   ?metrics:Repro_obs.Metrics.t ->
-  ?labels:Hub_label.t ->
   ?primary:Repro_obs.Backend.t ->
   ?primary_ops:Repro_obs.Backend.ops ->
   Graph.t ->
   t
-(** [create g] builds a resilient oracle over [g]. The single unified
-    entry point: [primary] is any uniform backend (build budget-capped
-    label backends with {!hub_primary} / {!store_primary}); omit it for
-    a search-only oracle. [labels] is the legacy spelling of
-    [~primary:(hub_primary ?step_budget labels)] kept so existing
-    callers compile unchanged — pass one of the two, not both.
+(** [create g] builds a resilient oracle over [g]. [primary] is any
+    uniform backend (build budget-capped label backends with
+    {!hub_primary} / {!store_primary}, passing them the same
+    [step_budget]); omit it for a search-only oracle. The caller checks
+    that the primary's vertex universe is [g]'s.
 
     [primary_ops] is the fast evaluator behind {!op} (typically the
     [ops] of the same {!Repro_hub.Label_store.packed} store as
@@ -77,18 +75,17 @@ val create :
     only, budget caps included — or straight through the fallback
     chain when there is no primary at all.
 
-    [spot_check_every k]: every [k]-th successful primary answer is
-    re-derived through the fallback chain; [k = 1] (default) verifies
-    every answer, [k <= 0] disables spot checks. [quarantine_after q]
+    [spot_check_every k]: the answer to every [k]-th primary attempt
+    (raised attempts and budget skips count too) is re-derived through
+    the fallback chain; [k = 1] (default) verifies every answer,
+    [k <= 0] disables spot checks. [quarantine_after q]
     (default 3): after [q] strikes the primary is never consulted
-    again. [step_budget] (default: effectively unlimited) caps both
-    the label-scan length of the [labels] primary and the
+    again. [step_budget] (default: effectively unlimited) caps the
     bidirectional stage's vertex expansions before degrading to plain
     BFS. [metrics]: a registry that receives every incident counter
     live, under the [resilient.] prefix.
 
-    @raise Invalid_argument if both [labels] and [primary] are given,
-    if [labels] disagree with [g] on [n], or on a non-positive
+    @raise Invalid_argument on a non-positive
     [step_budget]/[quarantine_after]. *)
 
 val hub_primary : ?step_budget:int -> Hub_label.t -> Repro_obs.Backend.t

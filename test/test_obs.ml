@@ -167,6 +167,34 @@ let test_instrument_counts_errors () =
 
 (* ----- Differential: registry counters == Resilient_oracle.stats ----- *)
 
+let check_stats_mirrored oracle registry =
+  let s = Resilient_oracle.stats oracle in
+  let snap = Metrics.snapshot registry in
+  let check name field =
+    Test_util.check_int ("resilient." ^ name)
+      field
+      (Option.value ~default:(-1)
+         (Metrics.find_counter snap ("resilient." ^ name)))
+  in
+  check "queries" s.Resilient_oracle.queries;
+  check "primary_answers" s.Resilient_oracle.primary_answers;
+  check "fallback_answers" s.Resilient_oracle.fallback_answers;
+  check "spot_checks" s.Resilient_oracle.spot_checks;
+  check "disagreements" s.Resilient_oracle.disagreements;
+  check "faults" s.Resilient_oracle.faults;
+  check "budget_exhausted" s.Resilient_oracle.budget_exhausted;
+  check "validation_failures" s.Resilient_oracle.validation_failures;
+  check "quarantines" s.Resilient_oracle.quarantines
+
+let aggregate_requests rng n =
+  let vertex () = Random.State.int rng n in
+  [
+    Ops.One_to_many
+      { source = vertex (); targets = Array.init 6 (fun _ -> vertex ()) };
+    Ops.Eccentricity (vertex ());
+    Ops.Top_k_nearest { source = vertex (); k = 5 };
+  ]
+
 let test_differential_stats_vs_metrics () =
   let rng = Test_util.rng () in
   let g = Generators.random_connected rng ~n:80 ~m:160 in
@@ -181,30 +209,58 @@ let test_differential_stats_vs_metrics () =
     Resilient_oracle.create ~spot_check_every:1 ~quarantine_after:5
       ~metrics:registry ~primary g
   in
+  let ops oracle =
+    List.iter
+      (fun req -> ignore (Resilient_oracle.op oracle req))
+      (aggregate_requests rng 80)
+  in
+  ops oracle;
   for _ = 1 to 150 do
     ignore (Resilient_oracle.query oracle (Random.State.int rng 80)
               (Random.State.int rng 80))
   done;
+  ops oracle;
   (try ignore (Resilient_oracle.query oracle (-1) 0) with Invalid_argument _ -> ());
-  let s = Resilient_oracle.stats oracle in
-  let snap = Metrics.snapshot registry in
-  let check name field =
-    Test_util.check_int ("resilient." ^ name)
-      field
-      (Option.value ~default:(-1)
-         (Metrics.find_counter snap ("resilient." ^ name)))
-  in
   Test_util.check_bool "faults actually injected" true
     (Fault_injector.injected inj > 0);
-  check "queries" s.Resilient_oracle.queries;
-  check "primary_answers" s.Resilient_oracle.primary_answers;
-  check "fallback_answers" s.Resilient_oracle.fallback_answers;
-  check "spot_checks" s.Resilient_oracle.spot_checks;
-  check "disagreements" s.Resilient_oracle.disagreements;
-  check "faults" s.Resilient_oracle.faults;
-  check "budget_exhausted" s.Resilient_oracle.budget_exhausted;
-  check "validation_failures" s.Resilient_oracle.validation_failures;
-  check "quarantines" s.Resilient_oracle.quarantines
+  check_stats_mirrored oracle registry;
+  (* the pooled replay and the aggregate arm, under a pure primary that
+     lies (corrupted labels) and skips on budget, plus an ops evaluator
+     that raises on one request kind *)
+  let registry = Metrics.create () in
+  let lying = Fault_injector.corrupt_labels ~seed:3 ~fraction:0.2 labels in
+  let budget = Hub_label.max_size lying + Hub_label.max_size lying / 2 in
+  let flat = Flat_hub.of_labels labels in
+  let primary_ops =
+    Backend.make_ops ~name:"raising-ops" ~space_words:0
+      ~op:(function
+        | Ops.Eccentricity _ -> failwith "raising ops"
+        | req -> Ops.brute ~n:80 ~query:(Hub_label.query lying) req)
+      (Flat_hub.query flat)
+  in
+  let oracle =
+    Resilient_oracle.create ~step_budget:budget ~spot_check_every:2
+      ~quarantine_after:10 ~metrics:registry ~primary_ops
+      ~primary:(Resilient_oracle.hub_primary ~step_budget:budget lying)
+      g
+  in
+  let pairs =
+    Array.init 200 (fun _ -> (Random.State.int rng 80, Random.State.int rng 80))
+  in
+  ops oracle;
+  Repro_par.Pool.with_pool ~jobs:2 (fun pool ->
+      ignore (Resilient_oracle.query_many ~pool oracle (Array.sub pairs 0 100));
+      ops oracle;
+      ignore
+        (Resilient_oracle.query_many ~pool oracle (Array.sub pairs 100 100)));
+  ops oracle;
+  let s = Resilient_oracle.stats oracle in
+  Test_util.check_bool "budget skips, faults, strikes and a quarantine" true
+    (s.Resilient_oracle.budget_exhausted > 0
+    && s.Resilient_oracle.faults > 0
+    && s.Resilient_oracle.disagreements > 0
+    && s.Resilient_oracle.quarantines = 1);
+  check_stats_mirrored oracle registry
 
 (* ----- Backend uniformity: every exact backend agrees with BFS ------- *)
 
@@ -217,7 +273,10 @@ let test_backend_uniformity () =
     [
       Hub_label.backend labels;
       Flat_hub.backend flat;
-      Resilient_oracle.backend (Resilient_oracle.create ~labels g);
+      Resilient_oracle.backend
+        (Resilient_oracle.create
+           ~primary:(Resilient_oracle.hub_primary labels)
+           g);
       Oracle.backend (Oracle.flat g flat);
       Oracle.backend (Oracle.of_backend (Hub_label.backend labels));
     ]

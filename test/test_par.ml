@@ -250,35 +250,69 @@ let test_cached_query_many_stats () =
         (hits + misses);
       Test_util.check_bool "repeated pairs hit" true (hits > 0)
 
+(* The pooled replay against the sequential loop, under three pure
+   (domain-safe) primaries: an honest budgeted store, labels with
+   corrupted distances, and one that raises on a fixed residue of
+   [u + v]. The last two strike out, so the quarantine flips in the
+   middle of the batch. *)
 let test_resilient_query_many_differential () =
   let g, flat = Lazy.force query_fixture in
   let pairs =
     let r = rng 99 in
-    Array.init 60 (fun _ -> (Random.State.int r 64, Random.State.int r 64))
+    Array.init 120 (fun _ -> (Random.State.int r 64, Random.State.int r 64))
   in
-  let make () =
-    Resilient_oracle.create ~spot_check_every:3
-      ~primary:(Resilient_oracle.flat_primary ~step_budget:24 flat)
-      g
+  let lying =
+    Resilient_oracle.hub_primary
+      (Fault_injector.corrupt_labels ~seed:5 ~fraction:0.3 (Pll.build g))
   in
-  let seq_oracle = make () in
-  let seq =
-    Array.map (fun (u, v) -> Resilient_oracle.query_detailed seq_oracle u v) pairs
+  let raising =
+    Repro_obs.Backend.make ~name:"raising" ~space_words:0 (fun u v ->
+        if (u + v) mod 7 = 3 then failwith "raising primary"
+        else Flat_hub.query flat u v)
+  in
+  let cases =
+    [
+      ("budgeted", 3, Resilient_oracle.flat_primary ~step_budget:24 flat);
+      ("lying", 2, lying);
+      ("raising", 1, raising);
+    ]
   in
   List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          let o = make () in
-          let got = Resilient_oracle.query_many_detailed ~pool o pairs in
-          Array.iteri
-            (fun k (d, src) ->
-              let d', src' = got.(k) in
-              Test_util.check_int "answer" d d';
-              Test_util.check_bool "source" true (src = src'))
-            seq;
-          Test_util.check_bool "stats replayed identically" true
-            (Resilient_oracle.stats o = Resilient_oracle.stats seq_oracle)))
-    [ 1; 4 ]
+    (fun (name, spot_check_every, primary) ->
+      let make () =
+        Resilient_oracle.create ~spot_check_every ~quarantine_after:3 ~primary g
+      in
+      let seq_oracle = make () in
+      let seq =
+        Array.map
+          (fun (u, v) -> Resilient_oracle.query_detailed seq_oracle u v)
+          pairs
+      in
+      let s = Resilient_oracle.stats seq_oracle in
+      if name <> "budgeted" then begin
+        Test_util.check_int (name ^ ": quarantined") 1
+          s.Resilient_oracle.quarantines;
+        Test_util.check_bool (name ^ ": mid-batch") true
+          (s.Resilient_oracle.primary_answers > 0
+          && s.Resilient_oracle.fallback_answers > 0)
+      end;
+      List.iter
+        (fun jobs ->
+          Pool.with_pool ~jobs (fun pool ->
+              let o = make () in
+              let got = Resilient_oracle.query_many_detailed ~pool o pairs in
+              Array.iteri
+                (fun k (d, src) ->
+                  let d', src' = got.(k) in
+                  Test_util.check_int (name ^ ": answer") d d';
+                  Test_util.check_bool (name ^ ": source") true (src = src'))
+                seq;
+              Test_util.check_bool
+                (name ^ ": stats replayed identically")
+                true
+                (Resilient_oracle.stats o = s)))
+        [ 1; 4 ])
+    cases
 
 let test_default_jobs_env_override () =
   (* the @par-smoke alias runs the suite with HUBHARD_JOBS=2; just pin

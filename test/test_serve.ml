@@ -101,7 +101,11 @@ let random_pairs r n k = List.init k (fun _ -> (Random.State.int r n, Random.Sta
 let test_resilient_clean_primary () =
   let g = sample_graph () in
   let labels = Pll.build g in
-  let oracle = Resilient_oracle.create ~spot_check_every:1 ~labels g in
+  let oracle =
+    Resilient_oracle.create ~spot_check_every:1
+      ~primary:(Resilient_oracle.hub_primary labels)
+      g
+  in
   let truth = truth_table g in
   let r = rng () in
   List.iter
@@ -183,7 +187,11 @@ let test_resilient_label_budget () =
   let labels = Pll.build g in
   (* A scan budget of 1 can never fit |S(u)| + |S(v)|: the primary is
      skipped on budget grounds (no strike), answers stay exact. *)
-  let oracle = Resilient_oracle.create ~step_budget:1 ~labels g in
+  let oracle =
+    Resilient_oracle.create ~step_budget:1
+      ~primary:(Resilient_oracle.hub_primary ~step_budget:1 labels)
+      g
+  in
   let truth = truth_table g in
   ignore (Resilient_oracle.query oracle 0 5);
   Test_util.check_int "exact" truth.(0).(5) (Resilient_oracle.query oracle 0 5);
@@ -204,6 +212,36 @@ let test_resilient_validation () =
   Test_util.check_int "validation failure logged" 1
     s.Resilient_oracle.validation_failures;
   Test_util.check_int "not counted as a query" 0 s.Resilient_oracle.queries
+
+(* The point path boxes nothing but its (distance, source) result: a
+   warmed query over a cache-free flat primary, spot checks off, costs
+   at most the 3 words of that tuple. The bound allows 16 words for the
+   measurement itself (the boxed float [Gc.minor_words] returns). *)
+let test_resilient_point_alloc () =
+  let g = sample_graph () in
+  let flat = Flat_hub.of_labels (Pll.build g) in
+  let oracle =
+    Resilient_oracle.create ~spot_check_every:0
+      ~primary:(Resilient_oracle.flat_primary flat) g
+  in
+  let n = Graph.n g and queries = 20_000 in
+  let pairs = Array.init queries (fun i -> (i mod n, i * 7 mod n)) in
+  let acc = ref 0 in
+  Array.iter
+    (fun (u, v) -> acc := !acc + Resilient_oracle.query oracle u v)
+    pairs;
+  let before = Gc.minor_words () in
+  for i = 0 to queries - 1 do
+    let u, v = pairs.(i) in
+    acc := !acc + Resilient_oracle.query oracle u v
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !acc);
+  Test_util.check_bool
+    (Printf.sprintf "%.2f minor words per query <= 3"
+       (words /. float_of_int queries))
+    true
+    (words <= float_of_int ((3 * queries) + 16))
 
 (* ----- Hub_verify ---------------------------------------------------- *)
 
@@ -270,6 +308,8 @@ let suite =
       test_resilient_label_budget;
     Alcotest.test_case "query validation is logged" `Quick
       test_resilient_validation;
+    Alcotest.test_case "warmed point query allocates <= 3 words" `Quick
+      test_resilient_point_alloc;
     Alcotest.test_case "Hub_verify accepts clean labelings" `Quick
       test_hub_verify_clean;
     Alcotest.test_case "Hub_verify flags corrupted labelings" `Quick
