@@ -515,7 +515,8 @@ module type STORE = sig
   val query : t -> int -> int -> int
   val query_many :
     ?pool:Repro_par.Pool.t -> t -> (int * int) array -> int array
-  val ops : ?pool:Repro_par.Pool.t -> t -> Backend.ops
+  val ops :
+    ?pool:Repro_par.Pool.t -> ?owned:int array -> t -> Backend.ops
 end
 
 (* name, opened from a file (time and weigh the open), store, open *)
@@ -550,7 +551,7 @@ let run_stores (fx : fixture) =
     let query = Hub_label.query
     (* no batch path: the point loop *)
     let query_many ?pool:_ l = Array.map (fun (u, v) -> Hub_label.query l u v)
-    let ops ?pool:_ l = Backend.lift ~n (Hub_label.backend l)
+    let ops ?pool:_ ?owned:_ l = Backend.lift ~n (Hub_label.backend l)
   end in
   let cached () = Flat_hub.with_cache ~cache_slots:(4 * fx.z.pairs) fx.flat in
   let stores =

@@ -699,7 +699,7 @@ let build_serving_oracle ?clock ?(instrument_primary = true) ~registry
     Resilient_oracle.create ?step_budget ~spot_check_every:spot_check
       ~quarantine_after ~metrics:registry
       ?primary:(Option.map wrap_primary base)
-      ?primary_ops:(Option.map (fun (s : Label_store.packed) -> s.ops) store)
+      ?primary_ops:(Option.map (fun (s : Label_store.packed) -> s.ops ()) store)
       g
   in
   (oracle, fun () -> Option.bind store (fun s -> s.Label_store.cache_stats ()))

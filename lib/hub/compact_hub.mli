@@ -153,7 +153,8 @@ val backend : t -> Repro_obs.Backend.t
 (** The store as a uniform serving backend (name
     ["compact-hub-labeling"]), traced as {!Label_store.Make}. *)
 
-val ops : ?pool:Repro_par.Pool.t -> t -> Repro_obs.Backend.ops
+val ops :
+  ?pool:Repro_par.Pool.t -> ?owned:int array -> t -> Repro_obs.Backend.ops
 (** The store as an ops backend ({!Label_store.Make}): [Dist] /
     [Batch] decode straight off the blob; aggregates run over a lazily
     built shared {!Hub_index} (heap-resident, paid only when an

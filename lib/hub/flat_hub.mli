@@ -98,7 +98,8 @@ val backend : t -> Repro_obs.Backend.t
     cache hit ([entries_scanned = 0] on a hit — the packed arrays were
     never touched). *)
 
-val ops : ?pool:Repro_par.Pool.t -> t -> Repro_obs.Backend.ops
+val ops :
+  ?pool:Repro_par.Pool.t -> ?owned:int array -> t -> Repro_obs.Backend.ops
 (** The store as an ops backend: [Dist] / [Batch] go through the
     two-pointer point query; every aggregate request runs over a
     shared {!Hub_index} built lazily on first aggregate use (see

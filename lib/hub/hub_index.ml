@@ -12,7 +12,7 @@ type t = {
   rows : int array Scratch.t; (* n-word rows, contents undefined at rest *)
 }
 
-let build ~n ~walk =
+let build ~n ~walk vertices =
   Repro_obs.Span.run ~name:"hub-index.build" (fun () ->
       if n < 0 then invalid_arg "Hub_index.build: negative n";
       let offsets = Array.make (n + 1) 0 in
@@ -21,36 +21,28 @@ let build ~n ~walk =
         if d < 0 || d >= Dist.inf then
           invalid_arg "Hub_index.build: distance out of range"
       in
-      for v = 0 to n - 1 do
-        ignore
-          (walk v
-             (fun acc h d ->
-               check h d;
-               offsets.(h + 1) <- offsets.(h + 1) + 1;
-               acc)
-             0)
-      done;
+      let each f =
+        Array.iter
+          (fun v ->
+            if v < 0 || v >= n then
+              invalid_arg "Hub_index.build: vertex out of range";
+            ignore (walk v (fun acc h d -> check h d; f v h d; acc) 0))
+          vertices
+      in
+      each (fun _ h _ -> offsets.(h + 1) <- offsets.(h + 1) + 1);
       for h = 1 to n do
         offsets.(h) <- offsets.(h) + offsets.(h - 1)
       done;
       let total = offsets.(n) in
       let next = Array.sub offsets 0 (max 1 n) in
       let verts = Array.make total 0 and dists = Array.make total 0 in
-      (* vertices are visited in ascending order, so each hub's run is
-         filled ascending — the deterministic scan order of the row
-         kernel *)
-      for v = 0 to n - 1 do
-        ignore
-          (walk v
-             (fun acc h d ->
-               check h d;
-               let e = next.(h) in
-               verts.(e) <- v;
-               dists.(e) <- d;
-               next.(h) <- e + 1;
-               acc)
-             0)
-      done;
+      (* each hub's run is filled in [vertices] order — ascending for
+         every caller — the deterministic scan order of the row kernel *)
+      each (fun v h d ->
+          let e = next.(h) in
+          verts.(e) <- v;
+          dists.(e) <- d;
+          next.(h) <- e + 1);
       Repro_obs.Span.count "entries" total;
       let rows = Scratch.create (fun () -> Array.make n Dist.inf) in
       { n; offsets; verts; dists; rows })

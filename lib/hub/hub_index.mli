@@ -22,11 +22,12 @@
     kernel: {!Label_store.Make} picks between this row and its scatter
     kernel by {!row_cost}.
 
-    Correctness needs exactly the 2-hop cover property, so the index
-    serves sliced labelings too ({!Partition.slice}): a row from
-    source [s] is exact at every [w] for which the slice covers the
-    pair [(s, w)] — in particular at every owned [w], which is all
-    the sharded tier ever reads (see worker/router). *)
+    Correctness needs exactly the 2-hop cover property, so a row from
+    source [s] is exact at every [w] whose label is indexed whole and
+    whose pair [(s, w)] is covered: a shard's worker, which reads rows
+    only at owned [w], may index a sliced labeling ({!Partition.slice})
+    or the owned labels alone ({!build}, about [1/shards] of the
+    entries, so each row costs about that share of a full one). *)
 
 type t
 
@@ -35,13 +36,14 @@ type walk = int -> (int -> int -> int -> int) -> int -> int
     vertex [v]'s label, in hub order, without allocating — the store's
     {!Label_store.FORMAT.fold_label} at [int]. *)
 
-val build : n:int -> walk:walk -> t
-(** Transpose [n] labels into the inverted index. O(total label size)
-    time and space, done once and reused across every subsequent
-    operation. {!Label_store.Make} wraps this module into the [ops]
-    backend of every packed store.
-    @raise Invalid_argument if a hub id falls outside [[0, n)] or a
-    distance outside [[0, Dist.inf)]. *)
+val build : n:int -> walk:walk -> int array -> t
+(** Transpose the labels of [vertices] (ascending; all [n], or a
+    shard's owned set) into the inverted index, whose rows are then
+    [Dist.inf] at every other vertex. O(their total label size) time
+    and space, done once and reused. {!Label_store.Make} wraps this
+    module into the [ops] backend of every packed store.
+    @raise Invalid_argument if a vertex or a hub id falls outside
+    [[0, n)], or a distance outside [[0, Dist.inf)]. *)
 
 val n : t -> int
 

@@ -86,7 +86,7 @@ type packed = {
   with_cache : cache_slots:int -> packed;
   cache_stats : unit -> (int * int) option;
   backend : Repro_obs.Backend.t;
-  ops : Repro_obs.Backend.ops;
+  ops : ?owned:int array -> unit -> Repro_obs.Backend.ops;
 }
 
 type cache = {
@@ -269,10 +269,25 @@ module Make (F : FORMAT) = struct
     Repro_par.Scratch.give tables tbl;
     out
 
-  let ops ?pool t =
+  let ops ?pool ?owned t =
     let q = query t and n = t.n and fmt = t.fmt in
     let walk : Hub_index.walk = F.fold_label fmt in
-    let idx = lazy (Hub_index.build ~n ~walk) in
+    let full = lazy (Hub_index.build ~n ~walk (Array.init n Fun.id)) in
+    (* a row read only at owned targets is exact over the owned index *)
+    let index_for =
+      match owned with
+      | None -> fun _ -> full
+      | Some vs ->
+          let mine = Bytes.make n '\000' in
+          Array.iter
+            (fun v ->
+              if not (in_range t v) then fail "ops: owned vertex";
+              Bytes.unsafe_set mine v '\001')
+            vs;
+          let part = lazy (Hub_index.build ~n ~walk vs) in
+          let is_mine w = in_range t w && Bytes.unsafe_get mine w = '\001' in
+          fun ts -> if Array.for_all is_mine ts then part else full
+    in
     let tables = Repro_par.Scratch.create (fun () -> Array.make n Dist.inf) in
     let targets idx s ts =
       let probed =
@@ -282,15 +297,20 @@ module Make (F : FORMAT) = struct
       if scatter_wins ~probed ~row_cost then scatter t tables s ts
       else Hub_index.targets idx ~walk s ts
     in
+    let eval idx req =
+      let idx = Lazy.force idx in
+      Hub_index.eval ?pool idx ~walk ~targets:(targets idx) req
+    in
     let op req =
       match req with
       | Repro_obs.Ops.Dist _ | Repro_obs.Ops.Batch _ ->
           (* point queries run the format's merge and never force the
              inverted index *)
           Repro_obs.Ops.brute ~n ~query:q req
-      | _ ->
-          let idx = Lazy.force idx in
-          Hub_index.eval ?pool idx ~walk ~targets:(targets idx) req
+      | Repro_obs.Ops.One_to_many { targets = ts; _ }
+      | Repro_obs.Ops.Many_to_many { targets = ts; _ } ->
+          eval (index_for ts) req
+      | _ -> eval full req
     in
     Repro_obs.Backend.make_ops ~name:F.backend_name
       ~space_words:(space_words t) ~detailed:(detailed t) ~op q
@@ -303,6 +323,6 @@ module Make (F : FORMAT) = struct
       with_cache = (fun ~cache_slots -> pack (with_cache ~cache_slots t));
       cache_stats = (fun () -> cache_stats t);
       backend = backend t;
-      ops = ops t;
+      ops = (fun ?owned () -> ops ?owned t);
     }
 end

@@ -105,9 +105,10 @@ type packed = {
           removes it) *)
   cache_stats : unit -> (int * int) option;
   backend : Repro_obs.Backend.t;
-  ops : Repro_obs.Backend.ops;
-      (** over the default pool; the {!Hub_index} behind aggregates is
-          built on first use and shared by every user of this value *)
+  ops : ?owned:int array -> unit -> Repro_obs.Backend.ops;
+      (** {!Make.ops} over the default pool; each application has its
+          own lazily built indexes, shared by every user of the value
+          it returns *)
 }
 
 val scatter_wins : probed:int -> row_cost:int -> bool
@@ -170,10 +171,15 @@ module Make (F : FORMAT) : sig
       [entries_scanned]; on a cached store they flag [Hit] or [Miss],
       and a hit scans 0 entries. *)
 
-  val ops : ?pool:Repro_par.Pool.t -> t -> Repro_obs.Backend.ops
-  (** [Dist] and [Batch] run the point query and never build the
-      index; every aggregate runs over one {!Hub_index} built lazily on
+  val ops :
+    ?pool:Repro_par.Pool.t -> ?owned:int array -> t -> Repro_obs.Backend.ops
+  (** [Dist] and [Batch] run the point query and never build an
+      index; every aggregate runs over a {!Hub_index} built lazily on
       first use, and allocates no n-sized array per call once warm.
+      With [owned] (a shard's vertices, ascending), a [One_to_many] or
+      [Many_to_many] whose targets are all owned runs over a second
+      index of the owned labels only; it reads no other label but the
+      source's. Every other aggregate runs over the full index.
       [Top_k_nearest], [Eccentricity], [Farthest] and [Diameter_radius]
       reduce the index's reused row. Each row of [One_to_many] and
       [Many_to_many] takes the cheaper of two kernels: the row, at
@@ -182,7 +188,8 @@ module Make (F : FORMAT) : sig
       into a reused table indexed by hub, each target's label probes
       it, and the table is reset. {!scatter_wins} picks between them.
       [Many_to_many] and [Diameter_radius] fan out across [pool];
-      answers are byte-identical for any job count and either kernel. *)
+      answers are byte-identical for any job count, kernel and [owned].
+      @raise Invalid_argument if an owned vertex is out of range. *)
 
   val pack : t -> packed
 end

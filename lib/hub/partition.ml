@@ -24,6 +24,18 @@ let owner spec ~shards ~n v =
 
 let owner_of_pair spec ~shards ~n u v = owner spec ~shards ~n (min u v)
 
+let owned spec ~shards ~n shard =
+  if shard < 0 || shard >= shards then
+    invalid_arg "Partition.owned: shard out of range";
+  (* one array, no per-vertex garbage: a forked worker computes this
+     at start-up, where every page it writes is a copy-on-write fault *)
+  let buf = Array.make n 0 and k = ref 0 in
+  for v = 0 to n - 1 do
+    buf.(!k) <- v;
+    if owner spec ~shards ~n v = shard then incr k
+  done;
+  Array.sub buf 0 !k
+
 let slice spec ~shards ~shard labels =
   if shard < 0 || shard >= shards then
     invalid_arg "Partition.slice: shard out of range";

@@ -35,6 +35,10 @@ val owner_of_pair : spec -> shards:int -> n:int -> int -> int -> int
 (** [owner] of [min u v] — the canonical routing key of an unordered
     query pair. *)
 
+val owned : spec -> shards:int -> n:int -> int -> int array
+(** The vertices [shard] owns, ascending.
+    @raise Invalid_argument unless [0 <= shard < shards]. *)
+
 val slice : spec -> shards:int -> shard:int -> Hub_label.t -> Hub_label.t
 (** The shard's label slice (same [n]): full hubsets on owned vertices,
     hub-universe-filtered hubsets elsewhere. Exact for every owned

@@ -508,15 +508,6 @@ let heal t =
 
 (* ----- construction -------------------------------------------------- *)
 
-let owned_by_shard cfg =
-  let n = Graph.n cfg.graph in
-  let buckets = Array.make cfg.shards [] in
-  for v = n - 1 downto 0 do
-    let s = Partition.owner cfg.partition ~shards:cfg.shards ~n v in
-    buckets.(s) <- v :: buckets.(s)
-  done;
-  Array.map Array.of_list buckets
-
 let create cfg =
   if cfg.shards < 1 then invalid_arg "Router.create: shards must be >= 1";
   (match Worker.primary_n (worker_primary cfg) with
@@ -562,7 +553,10 @@ let create cfg =
       clock;
       manual;
       conns = Array.make cfg.shards None;
-      owned = owned_by_shard cfg;
+      owned =
+        Array.init cfg.shards
+          (Partition.owned cfg.partition ~shards:cfg.shards
+             ~n:(Graph.n cfg.graph));
       pending = Array.make cfg.shards None;
       fallback = lazy (Resilient_oracle.create ~metrics:reg cfg.graph);
       next_id = ref 0;

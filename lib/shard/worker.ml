@@ -86,7 +86,7 @@ let write_response ~chaos ~frames_written io resp =
       Frame_io.queue io frame;
       Ok ()
 
-let build_backend cfg metrics clock =
+let build_backend cfg ~owned metrics clock =
   let store =
     match cfg.primary with
     | Search -> None
@@ -98,9 +98,11 @@ let build_backend cfg metrics clock =
         Some (Flat_hub.pack (Flat_hub.of_labels slice))
     | Store store ->
         (* Every worker serves the same whole store (for a mapped file,
-           one page-cache copy fleet-wide), so there is no heap slice
-           to cut — partition routing at the router already confines
-           which pairs reach this shard. *)
+           one page-cache copy fleet-wide): partition routing at the
+           router already confines which pairs reach this shard, so a
+           point query has no heap slice to cut. An aggregate share
+           reads rows only at owned vertices, so [ops ~owned] inverts
+           only the owned labels for it. *)
         Some store
   in
   let primary =
@@ -108,7 +110,9 @@ let build_backend cfg metrics clock =
       (Resilient_oracle.store_primary ?step_budget:cfg.step_budget)
       store
   in
-  let primary_ops = Option.map (fun (s : Label_store.packed) -> s.ops) store in
+  let primary_ops =
+    Option.map (fun (s : Label_store.packed) -> s.ops ~owned ()) store
+  in
   let oracle =
     Resilient_oracle.create ?step_budget:cfg.step_budget
       ~spot_check_every:cfg.spot_check_every
@@ -132,22 +136,14 @@ let run ~input ~output cfg =
       (fun step -> Obs.Clock.read (Obs.Clock.manual ~auto_step:step ()))
       cfg.clock_step
   in
-  let oracle, backend = build_backend cfg metrics clock in
   (* the shard's owned vertices, ascending — every aggregate op reads
-     label rows only at these entries, which Partition.slice keeps
-     exact for any source *)
+     label rows only at these entries, which Partition.slice and the
+     owned index keep exact for any source *)
   let owned =
-    let n = Graph.n cfg.graph in
-    let buf = Array.make n 0 and k = ref 0 in
-    for v = 0 to n - 1 do
-      if Partition.owner cfg.partition ~shards:cfg.shards ~n v = cfg.shard
-      then begin
-        buf.(!k) <- v;
-        incr k
-      end
-    done;
-    Array.sub buf 0 !k
+    Partition.owned cfg.partition ~shards:cfg.shards ~n:(Graph.n cfg.graph)
+      cfg.shard
   in
+  let oracle, backend = build_backend cfg ~owned metrics clock in
   (* Trace recording: spans are timed on the worker's own clock domain
      and kept in a bounded store the router drains via Trace_fetch. The
      current request's trace id doubles as the exemplar for the

@@ -63,15 +63,20 @@ let requests_of ~seed n =
 (* Every packed store over the same labels: flat, mmap, and compact
    both decoded from bytes (block 2, so labels span several blocks)
    and mapped. *)
-let packed_ops flat =
+let packed_stores flat =
   [
-    ("flat-ops", Flat_hub.ops flat);
-    ("mmap-ops", Mmap_hub.ops (Test_util.mmap_of_flat ~deep:true flat));
+    ("flat-ops", Flat_hub.pack flat);
+    ("mmap-ops", Mmap_hub.pack (Test_util.mmap_of_flat ~deep:true flat));
     ( "compact-ops",
-      Compact_hub.ops (Test_util.compact_of_flat ~deep:true ~block:2 flat) );
+      Compact_hub.pack (Test_util.compact_of_flat ~deep:true ~block:2 flat) );
     ( "compact-map-ops",
-      Compact_hub.ops (Test_util.compact_map_of_flat ~deep:true flat) );
+      Compact_hub.pack (Test_util.compact_map_of_flat ~deep:true flat) );
   ]
+
+let packed_ops flat =
+  List.map
+    (fun (name, (p : Label_store.packed)) -> (name, p.ops ()))
+    (packed_stores flat)
 
 let ops_backends g =
   let pll = Pll.build g in
@@ -133,6 +138,129 @@ let diff_weighted =
             backends;
           true)
         (requests_of ~seed n))
+
+(* ----- a shard's owned index = the full index ------------------------ *)
+
+(* Every owned set a fleet of 1-4 shards can give a worker, plus the
+   empty set and all of [0, n). *)
+let owned_sets n =
+  ([||] :: Array.init n Fun.id
+  :: List.concat_map
+       (fun spec ->
+         List.concat_map
+           (fun shards ->
+             List.init shards (Partition.owned spec ~shards ~n))
+           [ 1; 2; 3; 4 ])
+       [ Partition.Hash; Partition.Range ])
+
+(* Each aggregate kind, the target lists all owned (the worker's share
+   and a prefix of it), mixed, and none owned. *)
+let owned_requests ~seed ~n owned =
+  let rng = Random.State.make [| seed |] in
+  let v () = Random.State.int rng n in
+  let mine = Array.make n false in
+  Array.iter (fun w -> mine.(w) <- true) owned;
+  let others = List.filter (fun w -> not mine.(w)) (List.init n Fun.id) in
+  let prefix = Array.sub owned 0 (Array.length owned / 2) in
+  let mixed = Array.of_list (Array.to_list prefix @ others) in
+  let others = Array.of_list others in
+  List.concat_map
+    (fun ts ->
+      [
+        Ops.One_to_many { source = v (); targets = ts };
+        Ops.Many_to_many { sources = [| v (); v () |]; targets = ts };
+      ])
+    [ owned; prefix; mixed; others ]
+  @ [
+      Ops.Top_k_nearest { source = v (); k = Random.State.int rng (n + 2) };
+      Ops.Eccentricity (v ());
+      Ops.Farthest (v ());
+      Ops.Diameter_radius;
+    ]
+
+let diff_owned =
+  Test_util.qcheck
+    "ops ~owned = ops, byte for byte (flat, mmap, compact, compact-map; \
+     hash and range owned sets at 1-4 shards, empty, all)"
+    ~count:25 Gen.small_graph_gen
+    (fun ((_, _, seed) as params) ->
+      let g = Gen.build_graph params in
+      let n = Graph.n g in
+      let stores = packed_stores (Flat_hub.of_labels (Pll.build g)) in
+      List.iter
+        (fun (name, (p : Label_store.packed)) ->
+          let full = p.ops () in
+          List.iter
+            (fun owned ->
+              let part = p.ops ~owned () in
+              List.iter
+                (fun req ->
+                  Alcotest.(check string)
+                    (name ^ " " ^ Ops.request_to_string req)
+                    (Ops.response_to_string (Backend.op full req))
+                    (Ops.response_to_string (Backend.op part req)))
+                (owned_requests ~seed ~n owned))
+            (owned_sets n))
+        stores;
+      true)
+
+(* Spans named [hub-index.build] in a profiled run of [f], with their
+   [entries] counts, in order. *)
+let index_builds f =
+  let rec collect acc (node : Repro_obs.Span.node) =
+    let acc =
+      if node.name = "hub-index.build" then
+        List.assoc "entries" node.counters :: acc
+      else acc
+    in
+    List.fold_left collect acc node.children
+  in
+  let r, root = Repro_obs.Span.profile ~name:"test" f in
+  (r, List.rev (collect [] root))
+
+(* A worker's shares force only the owned index; the first global
+   aggregate forces the full one, and nothing is built twice. *)
+let test_owned_index_only () =
+  let g =
+    Generators.random_connected (Random.State.make [| 11 |]) ~n:300 ~m:600
+  in
+  let n = Graph.n g in
+  let truth = truth_of g in
+  let flat = Flat_hub.of_labels (Pll.build g) in
+  let owned = Partition.owned Partition.Hash ~shards:2 ~n 0 in
+  let entries vs = Array.fold_left (fun a v -> a + Flat_hub.size flat v) 0 vs in
+  let all = entries (Array.init n Fun.id) in
+  List.iter
+    (fun (name, (p : Label_store.packed)) ->
+      let b = p.ops ~owned () in
+      let served reqs =
+        index_builds (fun () ->
+            List.iter
+              (fun req -> check_resp name ~expect:(truth req) (Backend.op b req))
+              reqs)
+        |> snd
+      in
+      Alcotest.(check (list int))
+        (name ^ ": shares build the owned index only")
+        [ entries owned ]
+        (served
+           (List.map
+              (fun source -> Ops.One_to_many { source; targets = owned })
+              [ 0; 1; 150; 299 ]
+           @ [ Ops.One_to_many { source = 7; targets = Array.sub owned 0 5 } ]));
+      Alcotest.(check (list int))
+        (name ^ ": eccentricity then builds the full index")
+        [ all ]
+        (served [ Ops.Eccentricity 5; Ops.One_to_many { source = 3; targets = owned } ]);
+      Alcotest.(check (list int))
+        (name ^ ": nothing is built twice")
+        []
+        (served [ Ops.Diameter_radius; Ops.Farthest 9 ]);
+      Alcotest.(check (list int))
+        (name ^ ": diameter first builds the full index only")
+        [ all ]
+        (snd (index_builds (fun () -> Backend.op (p.ops ~owned ()) Ops.Diameter_radius))))
+    (packed_stores flat)
 
 (* ----- both one-to-many kernels, on labels large enough for both ----- *)
 
@@ -205,9 +333,12 @@ let test_both_kernels () =
 (* ----- a shallow-opened file with a hostile entry -------------------- *)
 
 (* Shallow validation checks offsets only, so an entry's hub id or
-   distance may be anything. The aggregates must refuse it with a typed
-   error, and the resilient oracle must turn that into a degraded,
-   still exact answer — never an out-of-bounds access. *)
+   distance may be anything. An aggregate that reads the entry must
+   refuse it with a typed error, and the resilient oracle must turn
+   that into a degraded, still exact answer — never an out-of-bounds
+   access. Over a shard's owned index a request whose targets are all
+   owned reads only the owned labels and the source's, so an entry
+   outside them leaves it exact and served by the primary. *)
 let test_hostile_entry () =
   let g = Gen.build_connected (40, 70, 5) in
   let n = Graph.n g in
@@ -216,6 +347,9 @@ let test_hostile_entry () =
   (* HUBFLAT1 words: magic, n, total, n + 1 offsets, then (hub, dist)
      pairs; entry 0 is vertex 0's first *)
   let hub_word = 4 + n in
+  (* range halves: [low] owns vertex 0, and with it the bad entry *)
+  let low = Partition.owned Partition.Range ~shards:2 ~n 0
+  and high = Partition.owned Partition.Range ~shards:2 ~n 1 in
   List.iter
     (fun (word, value) ->
       let bytes = Bytes.of_string (Hub_io.flat_to_bytes flat) in
@@ -230,31 +364,71 @@ let test_hostile_entry () =
         | Error e -> Alcotest.failf "shallow load: %s" (Mmap_hub.error_to_string e)
       in
       Sys.remove path;
-      let oracle =
+      let oracle ?owned () =
         Resilient_oracle.create ~spot_check_every:0
           ~primary:(Resilient_oracle.store_primary (Mmap_hub.pack mm))
-          ~primary_ops:(Mmap_hub.ops mm) g
+          ~primary_ops:(Mmap_hub.ops ?owned mm) g
       in
-      List.iter
-        (fun req ->
-          (match Backend.op (Mmap_hub.ops mm) req with
-          | exception Invalid_argument msg ->
-              Alcotest.(check bool)
-                ("typed error, not a bounds fault: " ^ msg)
-                true (msg <> "index out of bounds")
-          | _ -> Alcotest.fail "a hostile entry was served as primary");
-          let resp, src = Resilient_oracle.op oracle req in
-          check_resp "oracle over the hostile file" ~expect:(truth req) resp;
-          Alcotest.(check bool) "flagged degraded" true
-            (src <> Resilient_oracle.Primary))
+      let refused ?owned reqs =
+        let oracle = oracle ?owned () in
+        List.iter
+          (fun req ->
+            (match Backend.op (Mmap_hub.ops ?owned mm) req with
+            | exception Invalid_argument msg ->
+                Alcotest.(check bool)
+                  ("typed error, not a bounds fault: " ^ msg)
+                  true (msg <> "index out of bounds")
+            | _ -> Alcotest.fail "a hostile entry was served as primary");
+            let resp, src = Resilient_oracle.op oracle req in
+            check_resp "oracle over the hostile file" ~expect:(truth req) resp;
+            Alcotest.(check bool) "flagged degraded" true
+              (src <> Resilient_oracle.Primary))
+          reqs
+      in
+      let global =
         [
-          Ops.One_to_many { source = 0; targets = [| 1; 2; 3; 4 |] };
-          Ops.One_to_many { source = 3; targets = Array.init n Fun.id };
-          Ops.Many_to_many { sources = [| 0; 9 |]; targets = [| 5; 6 |] };
           Ops.Top_k_nearest { source = 0; k = 5 };
           Ops.Eccentricity 0;
+          Ops.Eccentricity 25;
           Ops.Farthest 7;
           Ops.Diameter_radius;
+        ]
+      in
+      refused
+        ([
+           Ops.One_to_many { source = 0; targets = [| 1; 2; 3; 4 |] };
+           Ops.One_to_many { source = 3; targets = Array.init n Fun.id };
+           Ops.Many_to_many { sources = [| 0; 9 |]; targets = [| 5; 6 |] };
+         ]
+        @ global);
+      (* the bad entry in an owned label, or in the source's *)
+      refused ~owned:low
+        [
+          Ops.One_to_many { source = 25; targets = [| 1; 2; 3 |] };
+          Ops.One_to_many { source = 30; targets = low };
+        ];
+      refused ~owned:high
+        ([
+           Ops.One_to_many { source = 0; targets = high };
+           Ops.Many_to_many { sources = [| 25; 0 |]; targets = [| 21; 22 |] };
+           (* a target outside [high]: the full index *)
+           Ops.One_to_many { source = 25; targets = [| 1; 25 |] };
+         ]
+        @ global);
+      (* the bad entry in none of the labels a covered request reads *)
+      let oracle = oracle ~owned:high () in
+      List.iter
+        (fun req ->
+          check_resp "covered request over the owned index" ~expect:(truth req)
+            (Backend.op (Mmap_hub.ops ~owned:high mm) req);
+          let resp, src = Resilient_oracle.op oracle req in
+          check_resp "oracle, covered request" ~expect:(truth req) resp;
+          Alcotest.(check bool) "served by the primary" true
+            (src = Resilient_oracle.Primary))
+        [
+          Ops.One_to_many { source = 25; targets = high };
+          Ops.One_to_many { source = 3; targets = [| 21; 39 |] };
+          Ops.Many_to_many { sources = [| 3; 25 |]; targets = high };
         ])
     [ (hub_word, n + 5); (hub_word, -1); (hub_word + 1, -1); (hub_word + 1, Dist.inf) ]
 
@@ -541,6 +715,9 @@ let suite =
   [
     diff_unweighted;
     diff_weighted;
+    diff_owned;
+    Alcotest.test_case "owned shares build only the owned index" `Quick
+      test_owned_index_only;
     Alcotest.test_case "disconnected conventions pinned" `Quick
       test_disconnected_pinned;
     Alcotest.test_case "G_{2,1} gadget ops" `Slow test_gadget;

@@ -118,8 +118,19 @@ let test_partition_owner () =
       done;
       Test_util.check_int "pair routes to min's owner"
         (Partition.owner spec ~shards ~n 4)
-        (Partition.owner_of_pair spec ~shards ~n 90 4))
+        (Partition.owner_of_pair spec ~shards ~n 90 4);
+      (* owned: each shard's owner-filtered vertices, ascending *)
+      Test_util.check_bool "owned = owner filter" true
+        (Array.init shards (Partition.owned spec ~shards ~n)
+        = Array.init shards (fun s ->
+              Array.of_list
+                (List.filter
+                   (fun v -> Partition.owner spec ~shards ~n v = s)
+                   (List.init n Fun.id)))))
     [ Partition.Range; Partition.Hash ];
+  Alcotest.check_raises "owned: shard out of range"
+    (Invalid_argument "Partition.owned: shard out of range") (fun () ->
+      ignore (Partition.owned Partition.Hash ~shards:2 ~n:10 2));
   (* range blocks are contiguous and non-decreasing *)
   let prev = ref 0 in
   for v = 0 to 99 do
