@@ -291,14 +291,15 @@ let make_entries (fx : fixture) =
      flat), spot-checked primary, and the pure fallback chain (no
      labels, so every query runs the budgeted bidirectional search). *)
   let module R = Repro_serve.Resilient_oracle in
+  let assoc = Hub_label.pack fx.labels in
   let serve_primary =
-    R.create ~spot_check_every:0 ~primary:(R.hub_primary fx.labels) fx.g
+    R.create ~spot_check_every:0 ~primary:(R.store_primary assoc) fx.g
   in
   let serve_flat =
     R.create ~spot_check_every:0 ~primary:(R.flat_primary fx.flat) fx.g
   in
   let serve_checked =
-    R.create ~spot_check_every:8 ~primary:(R.hub_primary fx.labels) fx.g
+    R.create ~spot_check_every:8 ~primary:(R.store_primary assoc) fx.g
   in
   let serve_fallback = R.create fx.g in
   let sweep name q =
@@ -546,17 +547,12 @@ let run_stores (fx : fixture) =
     let s = In_channel.with_open_bin flat1 In_channel.input_all in
     ok (fun e -> e.Hub_io.msg) (Hub_io.flat_of_bytes_res s)
   in
-  let module Assoc = struct
-    type t = Hub_label.t
-    let query = Hub_label.query
-    (* no batch path: the point loop *)
-    let query_many ?pool:_ l = Array.map (fun (u, v) -> Hub_label.query l u v)
-    let ops ?pool:_ ?owned:_ l = Backend.lift ~n (Hub_label.backend l)
-  end in
   let cached () = Flat_hub.with_cache ~cache_slots:(4 * fx.z.pairs) fx.flat in
   let stores =
     [
-      Store ("assoc", false, (module Assoc), fun () -> fx.labels);
+      Store
+        ( "assoc", false, (module Hub_label.Store),
+          fun () -> Hub_label.Store.make ~cache_slots:0 fx.labels );
       Store ("flat", true, (module Flat_hub), heap_parse);
       Store ("flat-cached", false, (module Flat_hub), cached);
       Store
@@ -622,7 +618,7 @@ let run_stores (fx : fixture) =
     let per_query label f =
       timing label (fun () -> ns_per ~iters ~per_call:fx.z.pairs f)
     in
-    (* Diameter_radius scans all n^2 pairs: one call per round *)
+    (* Diameter_radius builds all n rows: one call per round *)
     let op_ns (label, req) =
       let iters = if req = Ops.Diameter_radius then 1 else ops_iters in
       timing label (fun () ->

@@ -498,9 +498,8 @@ let flat_arg =
 
 let cache_slots_arg =
   let doc =
-    "Direct-mapped distance-cache slots in front of the packed store: \
-     applies with --flat, --mmap and --compact, not to the assoc labeling \
-     (0 disables the cache)."
+    "Direct-mapped distance-cache slots in front of the label store, \
+     whatever its kind (0 disables the cache)."
   in
   let slots =
     Arg.conv
@@ -545,19 +544,16 @@ let store_args_term ~with_flat =
       $ (if with_flat then flat_arg else const false)
       $ mmap_arg $ compact_arg))
 
-(* What a serve subcommand answers from: the search chain alone, the
-   parsed assoc labeling (sliced per shard by a worker), or a packed
-   store. [router] hands the same primary to a router's workers —
-   Router.config still takes typed stores. *)
+(* What a serve subcommand answers from: the search chain alone
+   ([None]) or one label store of any kind. [router] hands the same
+   labels to a router's workers — Router.config still takes typed
+   stores, and the assoc labeling is sliced per shard there. *)
 type loaded = {
-  primary : Worker.primary;
+  store : Label_store.packed option;
   router : Router.config -> Router.config;
 }
 
-let store_name = function
-  | Worker.Search -> "search"
-  | Worker.Labels _ -> "assoc"
-  | Worker.Store s -> s.Label_store.kind
+let store_name = function None -> "search" | Some s -> s.Label_store.kind
 
 (* The one loader. --mmap / --compact map the file in place: the loader
    does the O(n) header/offset validation and the O(total) structural
@@ -583,7 +579,7 @@ let load_store_exit ~graph args =
             store.n (Graph.n graph);
           exit exit_validation_failure
         end;
-        { primary = Worker.Store store; router }
+        { store = Some store; router }
   in
   if args.mmap then
     mapped ~flag:"mmap" (fun path ->
@@ -599,7 +595,7 @@ let load_store_exit ~graph args =
         | Error e -> Error (Compact_hub.error_to_string e))
   else
     match args.labels_file with
-    | None -> { primary = Worker.Search; router = Fun.id }
+    | None -> { store = None; router = Fun.id }
     | Some path ->
         let labels, packed = parse_labels_exit path in
         structural_exit graph labels;
@@ -608,8 +604,8 @@ let load_store_exit ~graph args =
           let flat =
             match packed with Some f -> f | None -> Flat_hub.of_labels labels
           in
-          { primary = Worker.Store (Flat_hub.pack flat); router }
-        else { primary = Worker.Labels labels; router }
+          { store = Some (Flat_hub.pack flat); router }
+        else { store = Some (Hub_label.pack labels); router }
 
 let graph_file_arg =
   let doc = "Graph file in Graph_io format ('-' for stdin)." in
@@ -660,9 +656,9 @@ let serve_check_cmd =
 (* Build the serving oracle for `serve query` / `stats` / `loop`: one
    unified Resilient_oracle.create over a uniform primary backend,
    every layer instrumented into [registry]. Returns the oracle plus a
-   cache-stats thunk for the packed store, if any. *)
+   cache-stats thunk for the store, if any. *)
 let build_serving_oracle ?clock ?(instrument_primary = true) ~registry
-    ~primary ~cache_slots ~step_budget ~spot_check ~quarantine_after
+    ~store ~cache_slots ~step_budget ~spot_check ~quarantine_after
     ~inject_fraction ~inject_mode ~seed g =
   let wrap_primary base =
     let base =
@@ -682,23 +678,16 @@ let build_serving_oracle ?clock ?(instrument_primary = true) ~registry
        when primary answers are precomputed in parallel *)
     if instrument_primary then Obs.instrument ?clock registry base else base
   in
-  (* the assoc labeling has no native ops evaluator: the oracle lifts
-     its point query over Ops.brute instead *)
-  let store, base =
-    match primary with
-    | Worker.Search -> (None, None)
-    | Worker.Labels l ->
-        (None, Some (Resilient_oracle.hub_primary ?step_budget l))
-    | Worker.Store s ->
-        let s =
-          if cache_slots > 0 then s.Label_store.with_cache ~cache_slots else s
-        in
-        (Some s, Some (Resilient_oracle.store_primary ?step_budget s))
+  let store =
+    Option.map (fun (s : Label_store.packed) -> s.with_cache ~cache_slots) store
   in
   let oracle =
     Resilient_oracle.create ?step_budget ~spot_check_every:spot_check
       ~quarantine_after ~metrics:registry
-      ?primary:(Option.map wrap_primary base)
+      ?primary:
+        (Option.map
+           (fun s -> wrap_primary (Resilient_oracle.store_primary ?step_budget s))
+           store)
       ?primary_ops:(Option.map (fun (s : Label_store.packed) -> s.ops ()) store)
       g
   in
@@ -817,10 +806,10 @@ let serve_query_cmd =
     let g = serving_graph_exit graph_file in
     let n = Graph.n g in
     validate_ops_exit ~n op_reqs;
-    let { primary; _ } = load_store_exit ~graph:g store_args in
+    let { store; _ } = load_store_exit ~graph:g store_args in
     let registry = Metrics.create () in
     let oracle, _cache_stats =
-      build_serving_oracle ~registry ~primary ~cache_slots ~step_budget
+      build_serving_oracle ~registry ~store ~cache_slots ~step_budget
         ~spot_check ~quarantine_after ~inject_fraction ~inject_mode ~seed g
     in
     let backend =
@@ -917,10 +906,10 @@ let serve_stats_cmd =
     apply_jobs jobs;
     let g = serving_graph_exit graph_file in
     let n = Graph.n g in
-    let { primary; _ } = load_store_exit ~graph:g store_args in
+    let { store; _ } = load_store_exit ~graph:g store_args in
     let registry = Metrics.create () in
     let oracle, cache_stats =
-      build_serving_oracle ~registry ~primary ~cache_slots ~step_budget
+      build_serving_oracle ~registry ~store ~cache_slots ~step_budget
         ~spot_check ~quarantine_after:3 ~inject_fraction:0.0
         ~inject_mode:Fault_injector.Corrupt ~seed g
     in
@@ -1063,13 +1052,13 @@ let serve_loop_cmd =
     Events.install event_log;
     let g = serving_graph_exit graph_file in
     let n = Graph.n g in
-    let { primary; _ } = load_store_exit ~graph:g store_args in
+    let { store; _ } = load_store_exit ~graph:g store_args in
     (* the store kind recorded in every snapshot, next to the metrics *)
-    let store_kind = store_name primary in
+    let store_kind = store_name store in
     let registry = Metrics.create () in
     let oracle, _cache_stats =
       build_serving_oracle ~clock ~instrument_primary:(batch = 1) ~registry
-        ~primary ~cache_slots ~step_budget ~spot_check ~quarantine_after
+        ~store ~cache_slots ~step_budget ~spot_check ~quarantine_after
         ~inject_fraction ~inject_mode ~seed g
     in
     let recorder = Trace.recorder ~capacity:traces in
@@ -1351,7 +1340,10 @@ let serve_worker_cmd =
     let cfg =
       {
         Worker.graph = g;
-        primary = (load_store_exit ~graph:g store_args).primary;
+        primary =
+          (match (load_store_exit ~graph:g store_args).store with
+          | Some s -> Worker.Store s
+          | None -> Worker.Search);
         shards;
         shard;
         partition;
@@ -1516,10 +1508,12 @@ let start_fleet_exit ?trace f =
                 | Some file -> [ "--labels-file"; file ]
                 | None -> [])
               (* exec'd workers map the packed file themselves; the OS
-                 page cache still keeps one physical copy fleet-wide *)
-              @ (match loaded.primary with
-                | Worker.Store s -> [ "--" ^ s.Label_store.kind ]
-                | Worker.Search | Worker.Labels _ -> [])
+                 page cache still keeps one physical copy fleet-wide.
+                 The flags are the worker's own: a store kind such as
+                 assoc has none, and an unknown flag would kill it. *)
+              @ (if f.store_args.mmap then [ "--mmap" ]
+                 else if f.store_args.compact then [ "--compact" ]
+                 else [])
               @
               match List.assoc_opt shard chaos with
               | Some c -> [ "--chaos"; Fault_injector.chaos_to_string c ]

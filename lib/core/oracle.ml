@@ -1,65 +1,25 @@
 open Repro_graph
 open Repro_hub
+module Backend = Repro_obs.Backend
 
-type kind =
-  | Full of Apsp.t
-  | Hub of Hub_label.t
-  | Flat of Flat_hub.t
-  | On_demand of Graph.t
-  | Ext of Repro_obs.Backend.t
-
-type t = { kind : kind; space : int; label : string }
+(* Every oracle is a backend: the label oracles are their store's, the
+   matrix and on-demand oracles a plain one over their query. *)
+type t = Backend.t
 
 let full g =
-  let apsp = Apsp.of_graph g in
-  let n = Graph.n g in
-  { kind = Full apsp; space = n * n; label = "full-matrix" }
+  let apsp = Apsp.of_graph g and n = Graph.n g in
+  Backend.make ~name:"full-matrix" ~space_words:(n * n) (Apsp.dist apsp)
 
-let hub g labels =
-  ignore g;
-  {
-    kind = Hub labels;
-    space = 2 * Hub_label.total_size labels;
-    label = "hub-labeling";
-  }
-
-let flat g store =
-  ignore g;
-  {
-    kind = Flat store;
-    space = Flat_hub.space_words store;
-    label = "flat-hub-labeling";
-  }
+let hub _ labels = (Hub_label.pack labels).backend
+let flat _ store = (Flat_hub.pack store).backend
 
 let on_demand g =
-  {
-    kind = On_demand g;
-    space = (2 * Graph.m g) + Graph.n g;
-    label = "bfs-on-demand";
-  }
+  Backend.make ~name:"bfs-on-demand"
+    ~space_words:((2 * Graph.m g) + Graph.n g)
+    (fun u v -> (Traversal.bfs g u).(v))
 
-let of_backend b =
-  {
-    kind = Ext b;
-    space = Repro_obs.Backend.space_words b;
-    label = Repro_obs.Backend.name b;
-  }
-
-let query t u v =
-  match t.kind with
-  | Full apsp -> Apsp.dist apsp u v
-  | Hub labels -> Hub_label.query labels u v
-  | Flat store -> Flat_hub.query store u v
-  | On_demand g -> (Traversal.bfs g u).(v)
-  | Ext b -> Repro_obs.Backend.query b u v
-
-let name t = t.label
-let space_words t = t.space
-
-let backend t =
-  match t.kind with
-  | Ext b -> b
-  | Hub labels -> Hub_label.backend labels
-  | Flat store -> Flat_hub.backend store
-  | Full _ | On_demand _ ->
-      Repro_obs.Backend.make ~name:t.label ~space_words:t.space (query t)
+let of_backend b = b
+let query = Backend.query
+let name = Backend.name
+let space_words = Backend.space_words
+let backend t = t

@@ -29,9 +29,11 @@ type t
 
 val full : Graph.t -> t
 val hub : Graph.t -> Hub_label.t -> t
+(** {!of_backend} over {!Hub_label.pack}'s backend (name
+    ["hub-labeling"]). *)
 
 val flat : Graph.t -> Flat_hub.t -> t
-(** The packed flat-array store as an oracle (name
+(** {!of_backend} over {!Flat_hub.pack}'s backend (name
     ["flat-hub-labeling"]); [space_words] counts the CSR offsets and
     the interleaved data words. *)
 
@@ -50,6 +52,6 @@ val space_words : t -> int
     for [on_demand], the backend's own accounting for [of_backend]. *)
 
 val backend : t -> Repro_obs.Backend.t
-(** The oracle behind the uniform signature — hub and flat oracles
-    reuse their native backends (with per-query traces); matrix and
-    on-demand oracles get a plain wrapper. *)
+(** The oracle behind the uniform signature: the hub and flat oracles
+    are their store's backend, with its per-query traces; matrix and
+    on-demand oracles are a plain wrapper over their query. *)

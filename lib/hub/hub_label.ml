@@ -93,8 +93,25 @@ let query_meet t u v =
   done;
   !best
 
+(* The point query and the store core's merge loop: two cursors over
+   the sorted rows, reading the tuples in place, so nothing is
+   allocated. [hubs] checks both endpoints. *)
 let query t u v =
-  match query_meet t u v with None -> Dist.inf | Some (_, d) -> d
+  let a = hubs t u and b = hubs t v in
+  let la = Array.length a and lb = Array.length b in
+  let i = ref 0 and j = ref 0 and best = ref Dist.inf in
+  while !i < la && !j < lb do
+    let ha, da = Array.unsafe_get a !i and hb, db = Array.unsafe_get b !j in
+    if ha = hb then begin
+      let d = Dist.add da db in
+      if d < !best then best := d;
+      incr i;
+      incr j
+    end
+    else if ha < hb then incr i
+    else incr j
+  done;
+  !best
 
 let size t v = Array.length (hubs t v)
 
@@ -124,16 +141,28 @@ let pp ppf t =
   Format.fprintf ppf "hub_label(n=%d, total=%d, avg=%.2f, max=%d)" t.n
     (total_size t) (avg_size t) (max_size t)
 
-let backend_name = "hub-labeling"
+module Assoc = struct
+  type nonrec t = t
 
-let backend t =
-  let detailed u v =
-    let d = query t u v in
-    (* the sorted merge touches at most |S(u)| + |S(v)| entries *)
-    ( d,
-      Repro_obs.Trace.make
-        ~entries_scanned:(size t u + size t v)
-        ~source:backend_name ~u ~v ~dist:d () )
-  in
-  Repro_obs.Backend.make ~name:backend_name
-    ~space_words:(2 * total_size t) ~detailed (query t)
+  let module_name = "Hub_label"
+  let backend_name = "hub-labeling"
+  let kind = "assoc"
+  let n = n
+  let size t v = Array.length (Array.unsafe_get t.labels v)
+
+  let fold_label t v f acc =
+    let row = Array.unsafe_get t.labels v in
+    let acc = ref acc in
+    for e = 0 to Array.length row - 1 do
+      let h, d = Array.unsafe_get row e in
+      acc := f !acc h d
+    done;
+    !acc
+
+  let space_words t = 2 * total_size t
+  let raw_query = query
+end
+
+module Store = Label_store.Make (Assoc)
+
+let pack t = Store.pack (Store.make ~cache_slots:0 t)

@@ -36,11 +36,15 @@ val dist_to_hub : t -> int -> hub:int -> int option
 
 val query : t -> int -> int -> int
 (** Sorted-merge intersection of the two hubsets; {!Dist.inf} when the
-    hubsets are disjoint. *)
+    hubsets are disjoint. Allocates nothing; it is also the merge loop
+    of {!Store}.
+    @raise Invalid_argument ["Hub_label.hubs"] on an out-of-range
+    endpoint. *)
 
 val query_meet : t -> int -> int -> (int * int) option
-(** Like {!query} but also returns the optimal meeting hub. [None] when
-    the hubsets are disjoint. *)
+(** Like {!query} but also returns the optimal meeting hub (allocating
+    as it goes), for callers that report the witness. [None] when the
+    hubsets are disjoint. *)
 
 val size : t -> int -> int
 (** Hubset size of a vertex. *)
@@ -63,7 +67,21 @@ val restrict : t -> keep:(int -> int -> bool) -> t
 
 val pp : Format.formatter -> t -> unit
 
-val backend : t -> Repro_obs.Backend.t
-(** The labeling as a uniform serving backend (name ["hub-labeling"],
-    space = two words per stored pair). Traces report
-    [|S(u)| + |S(v)|] as [entries_scanned]. *)
+(** {1 Serving}
+
+    The labeling is the ["assoc"] kind of the one store core
+    {!Label_store.Make}: backend and trace name ["hub-labeling"],
+    [space_words = 2 * total_size], and the same cache, batching,
+    traced backend and {!Hub_index} aggregates as the packed stores.
+    Its [Invalid_argument] texts open with ["Hub_label."]. *)
+
+module Assoc : Label_store.FORMAT with type t = t
+(** The labeling as a store format; its [raw_query] is {!query}. *)
+
+module Store : module type of Label_store.Make (Assoc)
+(** The store core over it: bounds-checked [query], the optional cache,
+    [query_many], the traced [backend] and [ops]. *)
+
+val pack : t -> Label_store.packed
+(** The labeling, cache-free, for the serving layers (kind ["assoc"]).
+    The rows are shared, not copied. *)

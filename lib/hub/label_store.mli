@@ -1,7 +1,8 @@
-(** The one serving core shared by every packed hub-label store.
+(** The one serving core shared by every hub-label store.
 
-    The repository keeps one labeling in three encodings: the heap
-    [HUBFLAT1] arrays of {!Flat_hub}, the same bytes mapped in place by
+    The repository keeps one labeling in four encodings: the per-vertex
+    [(hub, dist)] rows of {!Hub_label} itself, the heap [HUBFLAT1]
+    arrays of {!Flat_hub}, the same bytes mapped in place by
     {!Mmap_hub}, and the compressed [HUBFLAT2] blob of {!Compact_hub}.
     They differ only in layout, validation and the inner merge loop.
     Everything a serving layer needs on top of that — bounds-checked
@@ -70,8 +71,8 @@ module type FORMAT = sig
   (** The backend and metric name, e.g. ["mmap-hub-labeling"]. *)
 
   val kind : string
-  (** Short store name used by snapshots and CLI flags: ["flat"],
-      ["mmap"] or ["compact"]. *)
+  (** Short store name used by snapshots and CLI flags: ["assoc"],
+      ["flat"], ["mmap"] or ["compact"]. *)
 
   val n : t -> int
 

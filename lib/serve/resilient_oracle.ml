@@ -68,11 +68,6 @@ let budget_capped base scan_cost = function
         ~detailed:(fun u v -> guard u v; Backend.query_detailed base u v)
         (fun u v -> guard u v; Backend.query base u v)
 
-let hub_primary ?step_budget labels =
-  budget_capped (Hub_label.backend labels)
-    (fun u v -> Hub_label.size labels u + Hub_label.size labels v)
-    step_budget
-
 let store_primary ?step_budget (store : Label_store.packed) =
   budget_capped store.backend (fun u v -> store.size u + store.size v)
     step_budget

@@ -64,16 +64,18 @@ val create :
   t
 (** [create g] builds a resilient oracle over [g]. [primary] is any
     uniform backend (build budget-capped label backends with
-    {!hub_primary} / {!store_primary}, passing them the same
-    [step_budget]); omit it for a search-only oracle. The caller checks
-    that the primary's vertex universe is [g]'s.
+    {!store_primary}, passing it the same [step_budget]); omit it for
+    a search-only oracle. The caller checks that the primary's vertex
+    universe is [g]'s.
 
-    [primary_ops] is the fast evaluator behind {!op} (typically the
-    [ops] of the same {!Repro_hub.Label_store.packed} store as
-    [primary]). When omitted, aggregate requests run
-    through {!Repro_obs.Backend.lift} over [primary] — point queries
-    only, budget caps included — or straight through the fallback
-    chain when there is no primary at all.
+    [primary_ops] is the fast evaluator behind {!op}: over a label
+    store, pass the [ops] of the same {!Repro_hub.Label_store.packed}
+    as [primary]. When omitted, aggregate requests run through
+    {!Repro_obs.Backend.lift} over [primary] — one point query per
+    pair, budget caps included — or straight through the fallback
+    chain when there is no primary at all. The lift default is for
+    bare point backends only (test doubles, fault-injected wrappers);
+    no serving path relies on it.
 
     [spot_check_every k]: the answer to every [k]-th primary attempt
     (raised attempts and budget skips count too) is re-derived through
@@ -88,14 +90,11 @@ val create :
     @raise Invalid_argument on a non-positive
     [step_budget]/[quarantine_after]. *)
 
-val hub_primary : ?step_budget:int -> Hub_label.t -> Repro_obs.Backend.t
-(** {!Hub_label.backend}, additionally raising {!Over_budget} when
-    [|S(u)| + |S(v)|] exceeds [step_budget]. *)
-
 val store_primary : ?step_budget:int -> Label_store.packed -> Repro_obs.Backend.t
-(** The packed store's backend with the same scan-budget cap: every
-    store kind (flat, mmap, compact) slots into the identical
-    degradation chain. *)
+(** The store's backend, additionally raising {!Over_budget} when
+    [|S(u)| + |S(v)|] exceeds [step_budget]: every store kind (assoc
+    via {!Hub_label.pack}, flat, mmap, compact) slots into the
+    identical degradation chain. *)
 
 val flat_primary : ?step_budget:int -> Flat_hub.t -> Repro_obs.Backend.t
 (** [store_primary] over {!Flat_hub.pack}. *)
@@ -122,10 +121,9 @@ val query_many : ?pool:Repro_par.Pool.t -> t -> (int * int) array -> int array
     any job count.
 
     Pass [pool] only when the primary backend is domain-safe: pure
-    functions of [(u, v)], e.g. {!hub_primary} or {!flat_primary} over
-    a {e cache-free} store. Instrumented, cached or fault-injecting
-    primaries mutate shared state per call — batch those without a
-    pool.
+    functions of [(u, v)], e.g. {!store_primary} over a {e cache-free}
+    store. Instrumented, cached or fault-injecting primaries mutate
+    shared state per call — batch those without a pool.
     @raise Invalid_argument when a pair is out of range (pairs before
     it have already been served and counted, as in the loop). *)
 

@@ -1,7 +1,7 @@
 (* Contract suite for Label_store.packed, the one value the serving
-   layers take. Every store kind — flat heap, mmap, compact heap
-   (block 2, so the skip-table leap runs) and compact mapped — each
-   cached and cache-free, must honour the same contract:
+   layers take. Every store kind — the assoc labeling, flat heap, mmap,
+   compact heap (block 2, so the skip-table leap runs) and compact
+   mapped — each cached and cache-free, must honour the same contract:
 
    - Resilient_oracle.store_primary ~step_budget raises Over_budget
      exactly when size u + size v exceeds the budget;
@@ -52,6 +52,11 @@ let cases () =
   List.concat_map
     (fun slots ->
       [
+        case ~name:"assoc" ~prefix:"Hub_label" ~kind:"assoc"
+          ~with_cache:Hub_label.Store.with_cache ~pack:Hub_label.Store.pack
+          ~query:Hub_label.Store.query ~query_many:Hub_label.Store.query_many
+          (Hub_label.Store.make ~cache_slots:0 (Flat_hub.to_labels flat))
+          slots;
         case ~name:"flat heap" ~prefix:"Flat_hub" ~kind:"flat"
           ~with_cache:Flat_hub.with_cache ~pack:Flat_hub.pack
           ~query:Flat_hub.query ~query_many:Flat_hub.query_many flat slots;

@@ -126,7 +126,7 @@ let run_instrumented () =
   let labels = Pll.build g in
   let registry = Metrics.create () in
   let clock = Clock.read (Clock.manual ~auto_step:50L ()) in
-  let b = Obs.instrument ~clock registry (Hub_label.backend labels) in
+  let b = Obs.instrument ~clock registry (Hub_label.pack labels).backend in
   let rng = Test_util.rng () in
   for _ = 1 to 40 do
     ignore
@@ -241,7 +241,9 @@ let test_differential_stats_vs_metrics () =
   let oracle =
     Resilient_oracle.create ~step_budget:budget ~spot_check_every:2
       ~quarantine_after:10 ~metrics:registry ~primary_ops
-      ~primary:(Resilient_oracle.hub_primary ~step_budget:budget lying)
+      ~primary:
+        (Resilient_oracle.store_primary ~step_budget:budget
+           (Hub_label.pack lying))
       g
   in
   let pairs =
@@ -271,14 +273,14 @@ let test_backend_uniformity () =
   let flat = Flat_hub.of_labels ~cache_slots:64 labels in
   let backends =
     [
-      Hub_label.backend labels;
+      (Hub_label.pack labels).backend;
       Flat_hub.backend flat;
       Resilient_oracle.backend
         (Resilient_oracle.create
-           ~primary:(Resilient_oracle.hub_primary labels)
+           ~primary:(Resilient_oracle.store_primary (Hub_label.pack labels))
            g);
       Oracle.backend (Oracle.flat g flat);
-      Oracle.backend (Oracle.of_backend (Hub_label.backend labels));
+      Oracle.backend (Oracle.of_backend (Hub_label.pack labels).backend);
     ]
   in
   List.iter
@@ -354,7 +356,7 @@ let test_oracle_flat_and_ext () =
   for v = 0 to 15 do
     Test_util.check_int "flat oracle exact" truth.(v) (Oracle.query o 0 v)
   done;
-  let ext = Oracle.of_backend (Hub_label.backend labels) in
+  let ext = Oracle.of_backend (Hub_label.pack labels).backend in
   Test_util.check_bool "ext keeps backend name" true
     (Oracle.name ext = "hub-labeling");
   Test_util.check_int "ext exact" truth.(15) (Oracle.query ext 0 15)

@@ -1,9 +1,9 @@
 (* The ops algebra, differentially: every implementation of the
-   request/response surface — Ops.brute over a point oracle, the row and
-   scatter kernels behind Flat_hub.ops / Mmap_hub.ops / Compact_hub.ops,
-   the resilient oracle's per-op degradation, and the BFS/Dijkstra
-   ground truth — must produce equal responses, on random graphs (connected
-   and disconnected, so the inf conventions are exercised), weighted
+   request/response surface — the row and scatter kernels behind every
+   store kind's ops (assoc, flat, mmap, compact), the resilient
+   oracle's per-op degradation, and the BFS/Dijkstra ground truth —
+   must produce equal responses, on random graphs (connected and
+   disconnected, so the inf conventions are exercised), weighted
    graphs, and the paper's G_{2,1} gadget. The string codec, the
    validation layer and the eight new Wire opcodes are pinned
    alongside. *)
@@ -60,11 +60,12 @@ let requests_of ~seed n =
 
 (* ----- unweighted differential (connected + disconnected) ------------ *)
 
-(* Every packed store over the same labels: flat, mmap, and compact
-   both decoded from bytes (block 2, so labels span several blocks)
-   and mapped. *)
+(* Every store kind over the same labels: the assoc labeling, flat,
+   mmap, and compact both decoded from bytes (block 2, so labels span
+   several blocks) and mapped. *)
 let packed_stores flat =
   [
+    ("assoc-ops", Hub_label.pack (Flat_hub.to_labels flat));
     ("flat-ops", Flat_hub.pack flat);
     ("mmap-ops", Mmap_hub.pack (Test_util.mmap_of_flat ~deep:true flat));
     ( "compact-ops",
@@ -78,26 +79,16 @@ let packed_ops flat =
     (fun (name, (p : Label_store.packed)) -> (name, p.ops ()))
     (packed_stores flat)
 
-let ops_backends g =
-  let pll = Pll.build g in
-  let flat = Flat_hub.of_labels pll in
-  [
-    ("lifted-assoc", Backend.lift ~n:(Graph.n g) (Hub_label.backend pll));
-  ]
-  @ packed_ops flat
-
 let diff_unweighted =
   Test_util.qcheck
-    "ops: lifted assoc = flat = mmap = compact = oracle = BFS brute (inf \
-     included)"
+    "ops: assoc = flat = mmap = compact = oracle = BFS brute (inf included)"
     ~count:50 Gen.small_graph_gen
     (fun ((_, _, seed) as params) ->
       let g = Gen.build_graph params in
       let n = Graph.n g in
       let truth = truth_of g in
-      let backends = ops_backends g in
-      let pll = Pll.build g in
-      let flat = Flat_hub.of_labels pll in
+      let flat = Flat_hub.of_labels (Pll.build g) in
+      let backends = packed_ops flat in
       let primary_oracle =
         Resilient_oracle.create
           ~primary:(Resilient_oracle.flat_primary flat)
@@ -180,8 +171,8 @@ let owned_requests ~seed ~n owned =
 
 let diff_owned =
   Test_util.qcheck
-    "ops ~owned = ops, byte for byte (flat, mmap, compact, compact-map; \
-     hash and range owned sets at 1-4 shards, empty, all)"
+    "ops ~owned = ops, byte for byte (assoc, flat, mmap, compact, \
+     compact-map; hash and range owned sets at 1-4 shards, empty, all)"
     ~count:25 Gen.small_graph_gen
     (fun ((_, _, seed) as params) ->
       let g = Gen.build_graph params in

@@ -262,8 +262,9 @@ let test_resilient_query_many_differential () =
     Array.init 120 (fun _ -> (Random.State.int r 64, Random.State.int r 64))
   in
   let lying =
-    Resilient_oracle.hub_primary
-      (Fault_injector.corrupt_labels ~seed:5 ~fraction:0.3 (Pll.build g))
+    Resilient_oracle.store_primary
+      (Hub_label.pack
+         (Fault_injector.corrupt_labels ~seed:5 ~fraction:0.3 (Pll.build g)))
   in
   let raising =
     Repro_obs.Backend.make ~name:"raising" ~space_words:0 (fun u v ->

@@ -103,7 +103,7 @@ let test_resilient_clean_primary () =
   let labels = Pll.build g in
   let oracle =
     Resilient_oracle.create ~spot_check_every:1
-      ~primary:(Resilient_oracle.hub_primary labels)
+      ~primary:(Resilient_oracle.store_primary (Hub_label.pack labels))
       g
   in
   let truth = truth_table g in
@@ -189,7 +189,8 @@ let test_resilient_label_budget () =
      skipped on budget grounds (no strike), answers stay exact. *)
   let oracle =
     Resilient_oracle.create ~step_budget:1
-      ~primary:(Resilient_oracle.hub_primary ~step_budget:1 labels)
+      ~primary:
+        (Resilient_oracle.store_primary ~step_budget:1 (Hub_label.pack labels))
       g
   in
   let truth = truth_table g in
@@ -214,34 +215,40 @@ let test_resilient_validation () =
   Test_util.check_int "not counted as a query" 0 s.Resilient_oracle.queries
 
 (* The point path boxes nothing but its (distance, source) result: a
-   warmed query over a cache-free flat primary, spot checks off, costs
-   at most the 3 words of that tuple. The bound allows 16 words for the
+   warmed query over a cache-free flat or assoc primary, spot checks
+   off, costs at most the 3 words of that tuple. The bound allows 16 words for the
    measurement itself (the boxed float [Gc.minor_words] returns). *)
 let test_resilient_point_alloc () =
   let g = sample_graph () in
-  let flat = Flat_hub.of_labels (Pll.build g) in
-  let oracle =
-    Resilient_oracle.create ~spot_check_every:0
-      ~primary:(Resilient_oracle.flat_primary flat) g
-  in
+  let labels = Pll.build g in
   let n = Graph.n g and queries = 20_000 in
   let pairs = Array.init queries (fun i -> (i mod n, i * 7 mod n)) in
-  let acc = ref 0 in
-  Array.iter
-    (fun (u, v) -> acc := !acc + Resilient_oracle.query oracle u v)
-    pairs;
-  let before = Gc.minor_words () in
-  for i = 0 to queries - 1 do
-    let u, v = pairs.(i) in
-    acc := !acc + Resilient_oracle.query oracle u v
-  done;
-  let words = Gc.minor_words () -. before in
-  ignore (Sys.opaque_identity !acc);
-  Test_util.check_bool
-    (Printf.sprintf "%.2f minor words per query <= 3"
-       (words /. float_of_int queries))
-    true
-    (words <= float_of_int ((3 * queries) + 16))
+  List.iter
+    (fun (name, store) ->
+      let oracle =
+        Resilient_oracle.create ~spot_check_every:0
+          ~primary:(Resilient_oracle.store_primary store) g
+      in
+      let acc = ref 0 in
+      Array.iter
+        (fun (u, v) -> acc := !acc + Resilient_oracle.query oracle u v)
+        pairs;
+      let before = Gc.minor_words () in
+      for i = 0 to queries - 1 do
+        let u, v = pairs.(i) in
+        acc := !acc + Resilient_oracle.query oracle u v
+      done;
+      let words = Gc.minor_words () -. before in
+      ignore (Sys.opaque_identity !acc);
+      Test_util.check_bool
+        (Printf.sprintf "%s: %.2f minor words per query <= 3" name
+           (words /. float_of_int queries))
+        true
+        (words <= float_of_int ((3 * queries) + 16)))
+    [
+      ("flat", Flat_hub.pack (Flat_hub.of_labels labels));
+      ("assoc", Hub_label.pack labels);
+    ]
 
 (* ----- Hub_verify ---------------------------------------------------- *)
 

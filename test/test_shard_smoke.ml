@@ -23,6 +23,9 @@
       degrades (exactly) forever;
    4. exec-mode workers: the real `hubhard serve worker` subprocess
       speaking the same wire protocol;
+   4b. `hubhard serve router --worker-exe` end to end, over the assoc
+      labels file and a mapped HUBFLAT1 file — the CLI's own worker argv
+      must start workers that answer every query exactly as primary;
    5. `hubhard serve loop` draining on SIGTERM with a complete final
       snapshot (never a truncated or dangling .tmp file).
 
@@ -310,6 +313,57 @@ let () =
     answers;
   Router.shutdown router;
   Printf.printf "scenario 4 (exec-mode CLI workers): ok\n%!"
+
+(* ----- 4b. the CLI's own exec argv builder --------------------------- *)
+
+(* `serve router --worker-exe` builds each worker's argv itself. An
+   argument the worker does not accept kills it at argv parsing, and
+   its shard then serves degraded answers; over the assoc labels file
+   and over a mapped HUBFLAT1 file every answer must stay primary. *)
+let () =
+  let packed_file = Filename.temp_file "shard_smoke" ".bin" in
+  write_file packed_file (Hub_io.flat_to_bytes (Flat_hub.of_labels labels));
+  let queries_file = Filename.temp_file "shard_smoke" ".queries" in
+  write_file queries_file
+    (String.concat ""
+       (Array.to_list
+          (Array.map (fun (u, v) -> Printf.sprintf "%d %d\n" u v) queries)));
+  let rows = Array.init n (fun s -> Traversal.bfs graph s) in
+  let run mode store_args =
+    let ic =
+      Unix.open_process_args_in cli
+        (Array.of_list
+           ([ cli; "serve"; "router"; "--graph-file"; graph_file ]
+           @ store_args
+           @ [
+               "--worker-exe"; cli; "--shards"; "2"; "--partition"; "hash";
+               "--queries"; queries_file; "--echo";
+             ]))
+    in
+    let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+    let status = Unix.close_process_in ic in
+    check (mode ^ ": exit 0") (status = Unix.WEXITED 0);
+    let echoed =
+      List.filter_map
+        (fun l ->
+          match String.split_on_char ' ' l with
+          | [ u; v; d; src ] -> Some (int_of_string u, int_of_string v, d, src)
+          | _ -> None)
+        lines
+    in
+    check (mode ^ ": every query echoed")
+      (List.length echoed = Array.length queries);
+    List.iter
+      (fun (u, v, d, src) ->
+        check (mode ^ ": BFS-exact") (d = string_of_int rows.(u).(v));
+        check (mode ^ ": primary") (src = "primary"))
+      echoed
+  in
+  run "assoc" [ "--labels-file"; labels_file ];
+  run "mmap" [ "--labels-file"; packed_file; "--mmap" ];
+  Sys.remove packed_file;
+  Sys.remove queries_file;
+  Printf.printf "scenario 4b (serve router --worker-exe, assoc and mmap): ok\n%!"
 
 (* ----- 5. serve loop drains on SIGTERM ------------------------------- *)
 
