@@ -660,23 +660,39 @@ let serve_check_cmd =
 let build_serving_oracle ?clock ?(instrument_primary = true) ~registry
     ~store ~cache_slots ~step_budget ~spot_check ~quarantine_after
     ~inject_fraction ~inject_mode ~seed g =
+  (* the point primary and the ops evaluator each draw their faults
+     from a stream of their own, so adding one leaves the other's
+     unchanged *)
+  let injector () =
+    if inject_fraction <= 0.0 then None
+    else
+      Some (Fault_injector.create ~seed ~fraction:inject_fraction inject_mode)
+  in
   let wrap_primary base =
     let base =
-      if inject_fraction <= 0.0 then base
-      else
-        let inj =
-          Fault_injector.create ~seed ~fraction:inject_fraction inject_mode
-        in
-        Backend.make
-          ~name:(Backend.name base ^ "+faults")
-          ~space_words:(Backend.space_words base)
-          (Fault_injector.wrap inj (Backend.query base))
+      match injector () with
+      | None -> base
+      | Some inj ->
+          Backend.make
+            ~name:(Backend.name base ^ "+faults")
+            ~space_words:(Backend.space_words base)
+            (Fault_injector.wrap inj (Backend.query base))
     in
     (* batched serving skips the per-call primary instrumentation:
        the wrapper mutates the registry and reads the clock on every
        call, which is neither domain-safe nor clock-deterministic
        when primary answers are precomputed in parallel *)
     if instrument_primary then Obs.instrument ?clock registry base else base
+  in
+  let wrap_ops (o : Backend.ops) =
+    match injector () with
+    | None -> o
+    | Some inj ->
+        Backend.make_ops
+          ~name:(Backend.ops_name o ^ "+faults")
+          ~space_words:(Backend.ops_space_words o)
+          ~op:(Fault_injector.wrap_op inj (Backend.op o))
+          (Backend.query (Backend.base o))
   in
   let store =
     Option.map (fun (s : Label_store.packed) -> s.with_cache ~cache_slots) store
@@ -688,7 +704,8 @@ let build_serving_oracle ?clock ?(instrument_primary = true) ~registry
         (Option.map
            (fun s -> wrap_primary (Resilient_oracle.store_primary ?step_budget s))
            store)
-      ?primary_ops:(Option.map (fun (s : Label_store.packed) -> s.ops ()) store)
+      ?primary_ops:
+        (Option.map (fun (s : Label_store.packed) -> wrap_ops (s.ops ())) store)
       g
   in
   (oracle, fun () -> Option.bind store (fun s -> s.Label_store.cache_stats ()))
@@ -789,7 +806,8 @@ let serve_query_cmd =
     let doc =
       "Aggregate operation (repeatable): 'dist:U,V', 'batch:U,V;U,V', \
        'one-to-many:S:T1,T2', 'many-to-many:S1,S2:T1,T2', 'top-k:S,K', \
-       'ecc:V', 'farthest:V' or 'diam'. Served through the resilient \
+       'top-k-among:S,K:V1,V2' (candidates ascending), 'ecc:V', \
+       'farthest:V' or 'diam'. Served through the resilient \
        per-op degradation path and instrumented under ops.<name>.*."
     in
     Arg.(value & opt_all string [] & info [ "op" ] ~docv:"OP" ~doc)

@@ -4,13 +4,85 @@ module Scratch = Repro_par.Scratch
 
 type walk = int -> (int -> int -> int -> int) -> int -> int
 
+(* The threshold merge's scratch: a binary min-heap of cursors, one
+   per hub of the source's label, on [(key, vert)] — the sum
+   d(s, h) + d(h, w) and the vertex w of the cursor's entry [pos] —
+   and one byte per vertex, [rest] between calls. *)
+type merge = {
+  key : int array;
+  vert : int array;
+  pos : int array;
+  stop : int array; (* end of the cursor's run *)
+  base : int array; (* d(s, h) *)
+  mark : Bytes.t;
+}
+
 type t = {
   n : int;
+  vertices : int array; (* the indexed vertices, ascending *)
   offsets : int array; (* length n + 1; hub h's entries at offsets.(h) .. *)
-  verts : int array; (* entry vertex, ascending within a hub *)
+  verts : int array; (* entry vertex, by (dist, vertex) within a hub *)
   dists : int array; (* distance from the entry vertex to the hub *)
   rows : int array Scratch.t; (* n-word rows, contents undefined at rest *)
+  merges : merge Scratch.t;
 }
+
+let rest = '\000'
+let candidate = '\001'
+let seen = '\002'
+
+(* Sort each hub's run, filled vertex-ascending, stably by distance,
+   so it is ordered by (dist, vertex). When the distances are small
+   next to the entries ([runs * dmax <= entries], as on an unweighted
+   graph of small diameter), each run takes a counting sort over
+   [0, dmax] and the pass is O(entries); otherwise (weighted graphs,
+   long paths) each run takes a stable comparison sort. *)
+let sort_runs ~n ~dmax offsets verts dists =
+  let longest = ref 0 and runs = ref 0 in
+  for h = 0 to n - 1 do
+    let len = offsets.(h + 1) - offsets.(h) in
+    if len > !longest then longest := len;
+    if len > 1 then incr runs
+  done;
+  let tv = Array.make !longest 0 and td = Array.make !longest 0 in
+  let counting = !runs = 0 || dmax <= offsets.(n) / !runs in
+  let cnt = Array.make (if counting then dmax + 2 else 0) 0 in
+  for h = 0 to n - 1 do
+    let lo = offsets.(h) and hi = offsets.(h + 1) in
+    if hi - lo > 1 then begin
+      if counting then begin
+        (* in bounds: e in a run, d in [0, dmax], i below the run's
+           length *)
+        for e = lo to hi - 1 do
+          let b = Array.unsafe_get dists e + 1 in
+          Array.unsafe_set cnt b (Array.unsafe_get cnt b + 1)
+        done;
+        for b = 1 to dmax do
+          Array.unsafe_set cnt b
+            (Array.unsafe_get cnt b + Array.unsafe_get cnt (b - 1))
+        done;
+        for e = lo to hi - 1 do
+          let d = Array.unsafe_get dists e in
+          let i = Array.unsafe_get cnt d in
+          Array.unsafe_set cnt d (i + 1);
+          Array.unsafe_set tv i (Array.unsafe_get verts e);
+          Array.unsafe_set td i d
+        done;
+        Array.fill cnt 0 (dmax + 2) 0
+      end
+      else begin
+        let order = Array.init (hi - lo) (fun i -> lo + i) in
+        Array.stable_sort (fun a b -> Int.compare dists.(a) dists.(b)) order;
+        Array.iteri
+          (fun i e ->
+            tv.(i) <- verts.(e);
+            td.(i) <- dists.(e))
+          order
+      end;
+      Array.blit tv 0 verts lo (hi - lo);
+      Array.blit td 0 dists lo (hi - lo)
+    end
+  done
 
 let build ~n ~walk vertices =
   Repro_obs.Span.run ~name:"hub-index.build" (fun () ->
@@ -29,23 +101,32 @@ let build ~n ~walk vertices =
             ignore (walk v (fun acc h d -> check h d; f v h d; acc) 0))
           vertices
       in
-      each (fun _ h _ -> offsets.(h + 1) <- offsets.(h + 1) + 1);
+      let dmax = ref 0 in
+      each (fun _ h d ->
+          offsets.(h + 1) <- offsets.(h + 1) + 1;
+          if d > !dmax then dmax := d);
       for h = 1 to n do
         offsets.(h) <- offsets.(h) + offsets.(h - 1)
       done;
       let total = offsets.(n) in
       let next = Array.sub offsets 0 (max 1 n) in
       let verts = Array.make total 0 and dists = Array.make total 0 in
-      (* each hub's run is filled in [vertices] order — ascending for
-         every caller — the deterministic scan order of the row kernel *)
+      (* each hub's run is filled in [vertices] order, ascending *)
       each (fun v h d ->
           let e = next.(h) in
           verts.(e) <- v;
           dists.(e) <- d;
           next.(h) <- e + 1);
+      sort_runs ~n ~dmax:!dmax offsets verts dists;
       Repro_obs.Span.count "entries" total;
       let rows = Scratch.create (fun () -> Array.make n Dist.inf) in
-      { n; offsets; verts; dists; rows })
+      let merges =
+        Scratch.create (fun () ->
+            let a () = Array.make n 0 in
+            { key = a (); vert = a (); pos = a (); stop = a (); base = a ();
+              mark = Bytes.make n rest })
+      in
+      { n; vertices; offsets; verts; dists; rows; merges })
 
 let n t = t.n
 let total_size t = t.offsets.(t.n)
@@ -95,6 +176,128 @@ let with_row t ~walk s f =
 let targets t ~walk s ts =
   with_row t ~walk s (fun row -> Array.map (fun w -> row.(w)) ts)
 
+let row_nearest t ~walk s ~k among =
+  with_row t ~walk s (fun row ->
+      if Array.length among = t.n then Ops.nearest_in ~k ~vertex:Fun.id row
+      else
+        Ops.nearest_in ~k ~vertex:(Array.get among)
+          (Array.map (Array.get row) among))
+
+(* The heap of the threshold merge, on (key, vert): does slot [i] pop
+   before the key (k, v)? *)
+let before h i k v =
+  let ki = Array.unsafe_get h.key i in
+  ki < k || (ki = k && Array.unsafe_get h.vert i < v)
+
+(* Sift the cursor (k0, v0, p0, s0, b0) down from the hole at slot [i]
+   of a heap of [size] cursors. *)
+let rec down h size i k0 v0 p0 s0 b0 =
+  let l = (2 * i) + 1 in
+  let c =
+    if
+      l + 1 < size
+      && before h (l + 1) (Array.unsafe_get h.key l)
+           (Array.unsafe_get h.vert l)
+    then l + 1
+    else l
+  in
+  if c < size && before h c k0 v0 then begin
+    Array.unsafe_set h.key i (Array.unsafe_get h.key c);
+    Array.unsafe_set h.vert i (Array.unsafe_get h.vert c);
+    Array.unsafe_set h.pos i (Array.unsafe_get h.pos c);
+    Array.unsafe_set h.stop i (Array.unsafe_get h.stop c);
+    Array.unsafe_set h.base i (Array.unsafe_get h.base c);
+    down h size c k0 v0 p0 s0 b0
+  end
+  else begin
+    Array.unsafe_set h.key i k0;
+    Array.unsafe_set h.vert i v0;
+    Array.unsafe_set h.pos i p0;
+    Array.unsafe_set h.stop i s0;
+    Array.unsafe_set h.base i b0
+  end
+
+(* The threshold merge. Each cursor walks one hub's run in
+   (dist, vertex) order, so its keys (d(s, h) + d(h, w), w) ascend and
+   the heap pops every entry of the touched runs in ascending key
+   order. The first pop of a vertex is therefore its smallest sum over
+   the shared hubs, the label distance, and first pops come out by
+   (dist, vertex): the answer is the first [m] candidates popped, then
+   the unpopped candidates at [Dist.inf] in ascending id. *)
+let nearest t ~walk s ~k among =
+  let m = min k (Array.length among) in
+  if m <= 0 then [||]
+  else begin
+    let offsets = t.offsets and verts = t.verts and dists = t.dists in
+    let h = Scratch.take t.merges in
+    (* one cursor per hub of L(s) whose run is not empty; a label of
+       more than n entries repeats a hub *)
+    let size =
+      walk s
+        (fun size hub d_sh ->
+          if not (entry_ok t hub d_sh) then
+            invalid_arg "Hub_index.nearest: bad entry";
+          let lo = offsets.(hub) and hi = offsets.(hub + 1) in
+          if lo = hi then size
+          else if size = t.n then invalid_arg "Hub_index.nearest: bad label"
+          else begin
+            h.key.(size) <- d_sh + dists.(lo);
+            h.vert.(size) <- verts.(lo);
+            h.pos.(size) <- lo;
+            h.stop.(size) <- hi;
+            h.base.(size) <- d_sh;
+            size + 1
+          end)
+        0
+    in
+    for i = (size / 2) - 1 downto 0 do
+      down h size i h.key.(i) h.vert.(i) h.pos.(i) h.stop.(i) h.base.(i)
+    done;
+    (* a candidate is [want] until popped; [among] is all of the
+       indexed vertices (then every mark is [rest]) or fewer. Its ids
+       come from the caller, so they index [mark] bounds-checked;
+       popped ids come from the index, built in range. *)
+    let mark = h.mark in
+    let filtered = Array.length among < Array.length t.vertices in
+    if filtered then Array.iter (fun w -> Bytes.set mark w candidate) among;
+    let want = if filtered then candidate else rest in
+    let out = Array.make m (0, Dist.inf) in
+    let found = ref 0 and size = ref size and pops = ref 0 in
+    (* a sum at or beyond [Dist.inf] is no distance, as in [fill] *)
+    while !found < m && !size > 0 && h.key.(0) < Dist.inf do
+      incr pops;
+      let w = h.vert.(0) in
+      if Bytes.unsafe_get mark w = want then begin
+        Bytes.unsafe_set mark w seen;
+        out.(!found) <- (w, h.key.(0));
+        incr found
+      end;
+      let e = h.pos.(0) + 1 and b = h.base.(0) in
+      if e < h.stop.(0) then
+        down h !size 0 (b + Array.unsafe_get dists e)
+          (Array.unsafe_get verts e) e h.stop.(0) b
+      else begin
+        decr size;
+        let l = !size in
+        down h l 0 h.key.(l) h.vert.(l) h.pos.(l) h.stop.(l) h.base.(l)
+      end
+    done;
+    Repro_obs.Span.count "merge_pops" !pops;
+    let i = ref 0 in
+    while !found < m do
+      let w = among.(!i) in
+      if Bytes.get mark w <> seen then begin
+        out.(!found) <- (w, Dist.inf);
+        incr found
+      end;
+      incr i
+    done;
+    if filtered then Array.iter (fun w -> Bytes.set mark w rest) among
+    else Array.iter (fun (w, _) -> Bytes.set mark w rest) out;
+    Scratch.give t.merges h;
+    out
+  end
+
 let max_of (row : int array) =
   let m = ref 0 in
   for w = 0 to Array.length row - 1 do
@@ -111,7 +314,7 @@ let fan pool ~m f =
         f i
       done)
 
-let eval ?pool t ~walk ~targets req =
+let eval ?pool t ~walk ~targets ~nearest req =
   (match Ops.validate ~n:t.n req with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Hub_index.eval: " ^ msg));
@@ -128,7 +331,9 @@ let eval ?pool t ~walk ~targets req =
           out.(i) <- targets sources.(i) ts);
       Ops.R_matrix out
   | Ops.Top_k_nearest { source; k } ->
-      Ops.R_nearest (with_row t ~walk source (Ops.nearest_in ~k ~vertex:Fun.id))
+      Ops.R_nearest (nearest source ~k t.vertices)
+  | Ops.Top_k_among { source; k; among } ->
+      Ops.R_nearest (nearest source ~k among)
   | Ops.Eccentricity v -> Ops.R_ecc (with_row t ~walk v max_of)
   | Ops.Farthest v -> (
       match with_row t ~walk v (Ops.farthest_in ~vertex:Fun.id) with

@@ -103,6 +103,13 @@ type cache = {
 let scatter_factor = 5
 let scatter_wins ~probed ~row_cost = scatter_factor * probed <= row_cost
 
+(* The threshold merge wins while k is at most 3/4 of the candidates,
+   as measured on the n = 2000 bench fixture (docs/PERFORMANCE.md,
+   "Top-k by threshold merge"): toward k = candidates it pops nearly
+   every entry of the source's runs, each at a heap step, where the
+   row scans each once. *)
+let merge_wins ~k ~candidates = 4 * min k candidates <= 3 * candidates
+
 module Make (F : FORMAT) = struct
   (* [n] and the cache live here, not in the format, so the bounds
      check and a cache hit never call into [F]. *)
@@ -297,9 +304,15 @@ module Make (F : FORMAT) = struct
       if scatter_wins ~probed ~row_cost then scatter t tables s ts
       else Hub_index.targets idx ~walk s ts
     in
+    let nearest idx s ~k among =
+      if merge_wins ~k ~candidates:(Array.length among) then
+        Hub_index.nearest idx ~walk s ~k among
+      else Hub_index.row_nearest idx ~walk s ~k among
+    in
     let eval idx req =
       let idx = Lazy.force idx in
-      Hub_index.eval ?pool idx ~walk ~targets:(targets idx) req
+      Hub_index.eval ?pool idx ~walk ~targets:(targets idx)
+        ~nearest:(nearest idx) req
     in
     let op req =
       match req with
@@ -308,7 +321,8 @@ module Make (F : FORMAT) = struct
              inverted index *)
           Repro_obs.Ops.brute ~n ~query:q req
       | Repro_obs.Ops.One_to_many { targets = ts; _ }
-      | Repro_obs.Ops.Many_to_many { targets = ts; _ } ->
+      | Repro_obs.Ops.Many_to_many { targets = ts; _ }
+      | Repro_obs.Ops.Top_k_among { among = ts; _ } ->
           eval (index_for ts) req
       | _ -> eval full req
     in

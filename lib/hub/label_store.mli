@@ -120,6 +120,15 @@ val scatter_wins : probed:int -> row_cost:int -> bool
     wins when [5 * probed <= row_cost]; 5 is the measured ratio of the
     two kernels' ns per entry (docs/PERFORMANCE.md). *)
 
+val merge_wins : k:int -> candidates:int -> bool
+(** The rule by which {!Make}'s [ops] answers a top-k over
+    [candidates] vertices: by {!Hub_index.nearest}'s threshold merge
+    when [k] is at most [3/4] of [candidates], else by reducing the
+    row ({!Hub_index.row_nearest}). Near [k = candidates] the merge
+    pops nearly every entry of the source's runs at a heap step each,
+    and so it does whenever fewer than [k] candidates are reachable
+    (docs/PERFORMANCE.md, "Top-k by threshold merge"). *)
+
 (** {1 The serving core} *)
 
 module Make (F : FORMAT) : sig
@@ -178,10 +187,12 @@ module Make (F : FORMAT) : sig
       index; every aggregate runs over a {!Hub_index} built lazily on
       first use, and allocates no n-sized array per call once warm.
       With [owned] (a shard's vertices, ascending), a [One_to_many] or
-      [Many_to_many] whose targets are all owned runs over a second
-      index of the owned labels only; it reads no other label but the
-      source's. Every other aggregate runs over the full index.
-      [Top_k_nearest], [Eccentricity], [Farthest] and [Diameter_radius]
+      [Many_to_many] whose targets are all owned, or a [Top_k_among]
+      whose candidates are, runs over a second index of the owned
+      labels only; it reads no other label but the source's. Every
+      other aggregate runs over the full index. [Top_k_nearest] and
+      [Top_k_among] take the threshold merge or the row by
+      {!merge_wins}; [Eccentricity], [Farthest] and [Diameter_radius]
       reduce the index's reused row. Each row of [One_to_many] and
       [Many_to_many] takes the cheaper of two kernels: the row, at
       [sum |inv(h)|] entries over the source's hubs, or {e scatter},

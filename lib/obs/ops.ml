@@ -6,6 +6,7 @@ type request =
   | One_to_many of { source : int; targets : int array }
   | Many_to_many of { sources : int array; targets : int array }
   | Top_k_nearest of { source : int; k : int }
+  | Top_k_among of { source : int; k : int; among : int array }
   | Eccentricity of int
   | Farthest of int
   | Diameter_radius
@@ -24,7 +25,7 @@ let name = function
   | Batch _ -> "batch"
   | One_to_many _ -> "one_to_many"
   | Many_to_many _ -> "many_to_many"
-  | Top_k_nearest _ -> "top_k_nearest"
+  | Top_k_nearest _ | Top_k_among _ -> "top_k_nearest"
   | Eccentricity _ -> "eccentricity"
   | Farthest _ -> "farthest"
   | Diameter_radius -> "diameter_radius"
@@ -35,10 +36,15 @@ let validate ~n req =
       Error (Printf.sprintf "vertex %d out of range [0, %d)" v n)
     else Ok ()
   in
+  (* one compare per entry: a worker validates each share's owned list *)
   let vertices a =
-    Array.fold_left
-      (fun acc v -> match acc with Error _ -> acc | Ok () -> vertex v)
-      (Ok ()) a
+    let rec go i =
+      if i = Array.length a then Ok ()
+      else
+        let v = Array.unsafe_get a i in
+        if v < 0 || v >= n then vertex v else go (i + 1)
+    in
+    go 0
   in
   match req with
   | Dist { u; v } -> ( match vertex u with Ok () -> vertex v | e -> e)
@@ -56,6 +62,22 @@ let validate ~n req =
   | Top_k_nearest { source; k } -> (
       if k < 0 then Error (Printf.sprintf "k must be non-negative, got %d" k)
       else match vertex source with Ok () -> Ok () | e -> e)
+  | Top_k_among { source; k; among } -> (
+      if k < 0 then Error (Printf.sprintf "k must be non-negative, got %d" k)
+      else
+        match vertex source with
+        | Error _ as e -> e
+        | Ok () -> (
+            match vertices among with
+            | Error _ as e -> e
+            | Ok () ->
+                let rec ascending i =
+                  i >= Array.length among
+                  || (Array.unsafe_get among (i - 1) < Array.unsafe_get among i
+                     && ascending (i + 1))
+                in
+                if ascending 1 then Ok ()
+                else Error "among must be strictly ascending"))
   | Eccentricity v | Farthest v -> vertex v
   | Diameter_radius -> Ok ()
 
@@ -77,6 +99,8 @@ let request_to_string = function
   | Many_to_many { sources; targets } ->
       Printf.sprintf "many-to-many:%s:%s" (ints_str sources) (ints_str targets)
   | Top_k_nearest { source; k } -> Printf.sprintf "top-k:%d,%d" source k
+  | Top_k_among { source; k; among } ->
+      Printf.sprintf "top-k-among:%d,%d:%s" source k (ints_str among)
   | Eccentricity v -> Printf.sprintf "ecc:%d" v
   | Farthest v -> Printf.sprintf "farthest:%d" v
   | Diameter_radius -> "diam"
@@ -149,6 +173,18 @@ let request_of_string s =
       match a with
       | [| source; k |] -> Ok (Top_k_nearest { source; k })
       | _ -> Error "top-k: expected 's,k'")
+  | "top-k-among" -> (
+      match String.index_opt rest ':' with
+      | None -> Error "top-k-among: expected 's,k:v1,v2,...'"
+      | Some i -> (
+          let* a = parse_ints "top-k-among" (String.sub rest 0 i) in
+          let vs = String.sub rest (i + 1) (String.length rest - i - 1) in
+          let* among =
+            if vs = "" then Ok [||] else parse_ints "top-k-among" vs
+          in
+          match a with
+          | [| source; k |] -> Ok (Top_k_among { source; k; among })
+          | _ -> Error "top-k-among: expected 's,k:v1,v2,...'"))
   | "ecc" ->
       let* v = parse_int "ecc" rest in
       Ok (Eccentricity v)
@@ -288,6 +324,8 @@ let brute ~n ~query req =
   | Many_to_many { sources; targets } ->
       R_matrix (Array.map (fun s -> Array.map (query s) targets) sources)
   | Top_k_nearest { source; k } -> R_nearest (k_nearest ~k (row source))
+  | Top_k_among { source; k; among } ->
+      R_nearest (k_nearest ~k (Array.map (fun w -> (w, query source w)) among))
   | Eccentricity v -> R_ecc (ecc_of v)
   | Farthest v -> (
       match farthest_of (row v) with

@@ -19,7 +19,9 @@
       eccentricity [inf], and then diameter = radius = [inf];
     - ties on "farthest" go to the {e smallest} vertex id;
     - top-k results are sorted by [(dist, vertex)] ascending and
-      include the source itself (at distance 0);
+      include the source itself (at distance 0) when it is a
+      candidate; unreachable candidates fill the tail at [inf], in
+      ascending vertex id;
     - the empty graph has diameter 0 and radius 0.
 
     Every implementation — brute force over a point oracle
@@ -37,6 +39,11 @@ type request =
       (** The [sources] x [targets] distance matrix, row per source. *)
   | Top_k_nearest of { source : int; k : int }
       (** The [min k n] nearest vertices, sorted by [(dist, vertex)]. *)
+  | Top_k_among of { source : int; k : int; among : int array }
+      (** The [min k (length among)] vertices of [among] (strictly
+          ascending) nearest to [source], sorted by [(dist, vertex)] —
+          one shard's share of a [Top_k_nearest], with [among] its
+          owned vertices. *)
   | Eccentricity of int
   | Farthest of int
       (** The farthest vertex from the argument (smallest id on ties)
@@ -56,23 +63,27 @@ type response =
 
 val name : request -> string
 (** Stable metric-name component: ["dist"], ["batch"],
-    ["one_to_many"], ["many_to_many"], ["top_k_nearest"],
-    ["eccentricity"], ["farthest"], ["diameter_radius"]. *)
+    ["one_to_many"], ["many_to_many"], ["top_k_nearest"] (also for
+    [Top_k_among]), ["eccentricity"], ["farthest"],
+    ["diameter_radius"]. *)
 
 val validate : n:int -> request -> (unit, string) result
 (** Total request validation against a vertex universe of size [n]:
-    every referenced vertex in range, [k >= 0]. Backends may assume a
+    every referenced vertex in range, [k >= 0], a [Top_k_among]'s
+    [among] strictly ascending. Backends may assume a
     validated request; serving layers call this before dispatch. *)
 
 val request_to_string : request -> string
 (** The CLI spelling, e.g. ["dist:3,7"], ["one-to-many:0:1,2,3"],
-    ["top-k:5,4"], ["ecc:2"], ["diam"]. Round-trips through
+    ["top-k:5,4"], ["top-k-among:5,4:1,3,8"], ["ecc:2"], ["diam"].
+    Round-trips through
     {!request_of_string}. *)
 
 val request_of_string : string -> (request, string) result
 (** Parse the CLI spelling. Accepted forms: [dist:U,V],
     [batch:U,V;U,V;...], [one-to-many:S:T1,T2,...],
-    [many-to-many:S1,S2,...:T1,T2,...], [top-k:S,K], [ecc:V],
+    [many-to-many:S1,S2,...:T1,T2,...], [top-k:S,K],
+    [top-k-among:S,K:V1,V2,...] (the list may be empty), [ecc:V],
     [farthest:V], [diam]. Total: every malformed input is an [Error]. *)
 
 val response_to_string : response -> string

@@ -1,5 +1,6 @@
 open Repro_graph
 open Repro_hub
+module Ops = Repro_obs.Ops
 
 exception Injected_failure
 
@@ -27,21 +28,46 @@ let create ~seed ~fraction mode =
 let calls t = t.calls
 let injected t = t.injected
 
-let wrap t f u v =
+(* Whether this call is injected; counts it either way. *)
+let hit t =
   t.calls <- t.calls + 1;
-  if Random.State.float t.rng 1.0 >= t.fraction then f u v
-  else begin
-    t.injected <- t.injected + 1;
+  let hit = Random.State.float t.rng 1.0 < t.fraction in
+  if hit then t.injected <- t.injected + 1;
+  hit
+
+(* [f] delivers the true distance after the shift is drawn. *)
+let corrupt t f =
+  let delta = 1 + Random.State.int t.rng 3 in
+  let d = f () in
+  if not (Dist.is_finite d) then delta
+  else if d > delta && Random.State.bool t.rng then d - delta
+  else d + delta
+
+let wrap t f u v =
+  if not (hit t) then f u v
+  else
     match t.mode with
     | Fail -> raise Injected_failure
     | Drop -> Dist.inf
-    | Corrupt ->
-        let delta = 1 + Random.State.int t.rng 3 in
-        let d = f u v in
-        if not (Dist.is_finite d) then delta
-        else if d > delta && Random.State.bool t.rng then d - delta
-        else d + delta
-  end
+    | Corrupt -> corrupt t (fun () -> f u v)
+
+let map_dists f : Ops.response -> Ops.response = function
+  | R_dist d -> R_dist (f d)
+  | R_dists a -> R_dists (Array.map f a)
+  | R_matrix m -> R_matrix (Array.map (Array.map f) m)
+  | R_nearest ps -> R_nearest (Array.map (fun (w, d) -> (w, f d)) ps)
+  | R_ecc d -> R_ecc (f d)
+  | R_farthest { vertex; dist } -> R_farthest { vertex; dist = f dist }
+  | R_diam_rad { diameter; radius } ->
+      R_diam_rad { diameter = f diameter; radius = f radius }
+
+let wrap_op t f req =
+  if not (hit t) then f req
+  else
+    match t.mode with
+    | Fail -> raise Injected_failure
+    | Drop -> map_dists (fun _ -> Dist.inf) (f req)
+    | Corrupt -> map_dists (fun d -> corrupt t (fun () -> d)) (f req)
 
 type proc_fault = Kill | Hang | Truncate_frame | Corrupt_frame | Slow_write
 type chaos = { after_frames : int; fault : proc_fault }

@@ -272,6 +272,11 @@ let fallback_response t req =
            sources)
   | Ops.Top_k_nearest { source; k } ->
       Ops.R_nearest (Ops.nearest_in ~k ~vertex:Fun.id (row source))
+  | Ops.Top_k_among { source; k; among } ->
+      let r = row source in
+      Ops.R_nearest
+        (Ops.nearest_in ~k ~vertex:(Array.get among)
+           (Array.map (Array.get r) among))
   | Ops.Eccentricity v -> Ops.R_ecc (ecc_of v)
   | Ops.Farthest v -> (
       match farthest v with

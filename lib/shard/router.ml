@@ -859,6 +859,10 @@ let op_uninstrumented t req =
       (* the global k smallest live in the union of per-shard k
          smallest *)
       finish (Obs.Ops.R_nearest (Obs.Ops.k_nearest ~k (Array.concat cands)))
+  | Obs.Ops.Top_k_among { source; k; among } ->
+      let ds = row_op t acc ~opname ~source ~targets:among in
+      finish
+        (Obs.Ops.R_nearest (Obs.Ops.nearest_in ~k ~vertex:(Array.get among) ds))
   | Obs.Ops.Eccentricity v -> (
       match Obs.Ops.farthest_of (ecc_candidates t acc ~opname v) with
       | Some (_, d) -> finish (Obs.Ops.R_ecc d)

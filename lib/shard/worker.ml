@@ -296,15 +296,15 @@ let run ~input ~output cfg =
                      degraded = false;
                    })
             else
-              owned_row s (fun row source ->
+              match
+                serve_op (Obs.Ops.Top_k_among { source = s; k; among = owned })
+              with
+              | Obs.Ops.R_nearest pairs, src ->
+                  let source = source_code src in
                   Some
                     (Wire.Topk_payload
-                       {
-                         id;
-                         pairs = Obs.Ops.nearest_in ~k ~vertex:owned_vertex row;
-                         source;
-                         degraded = degraded source;
-                       })))
+                       { id; pairs; source; degraded = degraded source })
+              | _ -> None)
     | Wire.Op_diam { id } ->
         (* one global eccentricity per owned vertex — exact on a slice
            because the source is owned *)

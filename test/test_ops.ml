@@ -53,6 +53,14 @@ let requests_of ~seed n =
       };
     Ops.Many_to_many { sources = Array.init 2 (fun _ -> v ()); targets = all };
     Ops.Top_k_nearest { source = v (); k = Random.State.int rng (n + 2) };
+    Ops.Top_k_among
+      {
+        source = v ();
+        k = Random.State.int rng (n + 2);
+        among =
+          Array.of_list
+            (List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id));
+      };
     Ops.Eccentricity (v ());
     Ops.Farthest (v ());
     Ops.Diameter_radius;
@@ -157,9 +165,16 @@ let owned_requests ~seed ~n owned =
   let others = Array.of_list others in
   List.concat_map
     (fun ts ->
+      let among = Array.of_list (List.sort compare (Array.to_list ts)) in
       [
         Ops.One_to_many { source = v (); targets = ts };
         Ops.Many_to_many { sources = [| v (); v () |]; targets = ts };
+        Ops.Top_k_among
+          {
+            source = v ();
+            k = Random.State.int rng (Array.length ts + 8);
+            among;
+          };
       ])
     [ owned; prefix; mixed; others ]
   @ [
@@ -195,19 +210,24 @@ let diff_owned =
         stores;
       true)
 
-(* Spans named [hub-index.build] in a profiled run of [f], with their
-   [entries] counts, in order. *)
-let index_builds f =
+(* The [counter] of every span named [span] in [root]'s tree, in
+   order; 0 where the span never counted it. *)
+let counters ~span ~counter root =
   let rec collect acc (node : Repro_obs.Span.node) =
     let acc =
-      if node.name = "hub-index.build" then
-        List.assoc "entries" node.counters :: acc
+      if node.name = span then
+        Option.value ~default:0 (List.assoc_opt counter node.counters) :: acc
       else acc
     in
     List.fold_left collect acc node.children
   in
+  List.rev (collect [] root)
+
+(* Spans named [hub-index.build] in a profiled run of [f], with their
+   [entries] counts, in order. *)
+let index_builds f =
   let r, root = Repro_obs.Span.profile ~name:"test" f in
-  (r, List.rev (collect [] root))
+  (r, counters ~span:"hub-index.build" ~counter:"entries" root)
 
 (* A worker's shares force only the owned index; the first global
    aggregate forces the full one, and nothing is built twice. *)
@@ -251,6 +271,104 @@ let test_owned_index_only () =
         (name ^ ": diameter first builds the full index only")
         [ all ]
         (snd (index_builds (fun () -> Backend.op (p.ops ~owned ()) Ops.Diameter_radius))))
+    (packed_stores flat)
+
+(* ----- top-k by threshold merge -------------------------------------- *)
+
+(* Top_k_nearest, and Top_k_among over every owned set, against the BFS
+   brute on every store kind — through the owned index (a worker's
+   share) and the full one — with k on both sides of the merge/row
+   rule: 0, 1, 32, and |among| - 1, |among|, |among| + 7. The graphs are
+   often disconnected, so the [inf] tail and its id order are hit. *)
+let diff_topk =
+  Test_util.qcheck
+    "top-k merge = row = BFS brute (every store; owned sets; k around the \
+     merge/row rule; inf tail)"
+    ~count:25 Gen.small_graph_gen
+    (fun ((_, _, seed) as params) ->
+      let g = Gen.build_graph params in
+      let n = Graph.n g in
+      let truth = truth_of g in
+      let source = seed mod n in
+      let merged = ref 0 and rowed = ref 0 in
+      List.iter
+        (fun (name, (p : Label_store.packed)) ->
+          let full = p.ops () in
+          List.iter
+            (fun among ->
+              let m = Array.length among in
+              let share = p.ops ~owned:among () in
+              List.iter
+                (fun k ->
+                  if Label_store.merge_wins ~k ~candidates:m then incr merged
+                  else incr rowed;
+                  List.iter
+                    (fun (kind, b) ->
+                      List.iter
+                        (fun req ->
+                          check_resp
+                            (Printf.sprintf "%s %s %s" name kind
+                               (Ops.request_to_string req))
+                            ~expect:(truth req) (Backend.op b req))
+                        [
+                          Ops.Top_k_among { source; k; among };
+                          Ops.Top_k_nearest { source; k };
+                        ])
+                    [ ("share", share); ("full", full) ])
+                (List.sort_uniq compare
+                   (List.filter (fun k -> k >= 0)
+                      [ 0; 1; 32; m - 1; m; m + 7 ])))
+            (owned_sets n))
+        (packed_stores (Flat_hub.of_labels (Pll.build g)));
+      !merged > 0 && !rowed > 0)
+
+(* A worker's top-k(32) share pops a few dozen entries, far fewer than
+   the row it no longer builds would scan, and forces only the owned
+   index. *)
+let test_topk_share_merges () =
+  let g =
+    Generators.random_connected (Random.State.make [| 11 |]) ~n:300 ~m:600
+  in
+  let n = Graph.n g in
+  let truth = truth_of g in
+  let flat = Flat_hub.of_labels (Pll.build g) in
+  let owned = Partition.owned Partition.Hash ~shards:2 ~n 0 in
+  (* the owned index's row_cost for [s], recounted from the labels *)
+  let inv = Array.make n 0 in
+  Array.iter
+    (fun w ->
+      Array.iter (fun (h, _) -> inv.(h) <- inv.(h) + 1) (Flat_hub.hubs flat w))
+    owned;
+  let row_cost s =
+    Array.fold_left (fun acc (h, _) -> acc + inv.(h)) 0 (Flat_hub.hubs flat s)
+  in
+  let entries = Array.fold_left (fun a v -> a + Flat_hub.size flat v) 0 owned in
+  let sources = [ 0; 1; 150; 299 ] in
+  List.iter
+    (fun (name, (p : Label_store.packed)) ->
+      let b = p.ops ~owned () in
+      let (), root =
+        Repro_obs.Span.profile ~name:"test" (fun () ->
+            List.iter
+              (fun source ->
+                Repro_obs.Span.run ~name:"share" (fun () ->
+                    let req =
+                      Ops.Top_k_among { source; k = 32; among = owned }
+                    in
+                    check_resp name ~expect:(truth req) (Backend.op b req)))
+              sources)
+      in
+      Alcotest.(check (list int))
+        (name ^ ": the top-k shares build the owned index only")
+        [ entries ]
+        (counters ~span:"hub-index.build" ~counter:"entries" root);
+      List.iter2
+        (fun source pops ->
+          if pops = 0 || 10 * pops > row_cost source then
+            Alcotest.failf "%s: source %d popped %d entries, row_cost %d" name
+              source pops (row_cost source))
+        sources
+        (counters ~span:"share" ~counter:"merge_pops" root))
     (packed_stores flat)
 
 (* ----- both one-to-many kernels, on labels large enough for both ----- *)
@@ -397,6 +515,7 @@ let test_hostile_entry () =
         [
           Ops.One_to_many { source = 25; targets = [| 1; 2; 3 |] };
           Ops.One_to_many { source = 30; targets = low };
+          Ops.Top_k_among { source = 30; k = 5; among = low };
         ];
       refused ~owned:high
         ([
@@ -420,6 +539,7 @@ let test_hostile_entry () =
           Ops.One_to_many { source = 25; targets = high };
           Ops.One_to_many { source = 3; targets = [| 21; 39 |] };
           Ops.Many_to_many { sources = [| 3; 25 |]; targets = high };
+          Ops.Top_k_among { source = 3; k = 5; among = high };
         ])
     [ (hub_word, n + 5); (hub_word, -1); (hub_word + 1, -1); (hub_word + 1, Dist.inf) ]
 
@@ -436,7 +556,17 @@ let test_aggregates_allocate_no_row () =
   in
   let flat = Flat_hub.of_labels (Pll.build g) in
   let reqs =
-    [ Ops.Eccentricity 17; Ops.Farthest 17; Ops.Top_k_nearest { source = 17; k = 32 } ]
+    [
+      Ops.Eccentricity 17;
+      Ops.Farthest 17;
+      Ops.Top_k_nearest { source = 17; k = 32 };
+      Ops.Top_k_among
+        {
+          source = 17;
+          k = 32;
+          among = Partition.owned Partition.Hash ~shards:2 ~n:2000 0;
+        };
+    ]
   in
   List.iter
     (fun (store, b) ->
@@ -469,6 +599,9 @@ let test_disconnected_pinned () =
   Alcotest.(check string) "top-k crosses components as inf"
     "nearest 0:0,1:1,2:inf,3:inf"
     (render (Ops.Top_k_nearest { source = 0; k = 4 }));
+  Alcotest.(check string) "top-k among: inf tail in id order"
+    "nearest 1:1,2:inf,3:inf"
+    (render (Ops.Top_k_among { source = 0; k = 5; among = [| 1; 2; 3 |] }));
   Alcotest.(check string) "one-to-many renders inf" "dists 0,inf"
     (render (Ops.One_to_many { source = 0; targets = [| 0; 2 |] }))
 
@@ -589,7 +722,13 @@ let test_validate () =
   in
   ok (Ops.Eccentricity 4);
   ok (Ops.Top_k_nearest { source = 0; k = 0 });
+  ok (Ops.Top_k_among { source = 0; k = 9; among = [| 0; 2; 4 |] });
+  ok (Ops.Top_k_among { source = 4; k = 0; among = [||] });
   ok Ops.Diameter_radius;
+  bad (Ops.Top_k_among { source = 0; k = 1; among = [| 2; 1 |] });
+  bad (Ops.Top_k_among { source = 0; k = 1; among = [| 1; 1 |] });
+  bad (Ops.Top_k_among { source = 0; k = 1; among = [| 1; 5 |] });
+  bad (Ops.Top_k_among { source = 0; k = -1; among = [| 1 |] });
   bad (Ops.Eccentricity 5);
   bad (Ops.Dist { u = -1; v = 0 });
   bad (Ops.Top_k_nearest { source = 0; k = -1 });
@@ -709,6 +848,9 @@ let suite =
     diff_owned;
     Alcotest.test_case "owned shares build only the owned index" `Quick
       test_owned_index_only;
+    diff_topk;
+    Alcotest.test_case "a top-k share merges, popping far below its row"
+      `Quick test_topk_share_merges;
     Alcotest.test_case "disconnected conventions pinned" `Quick
       test_disconnected_pinned;
     Alcotest.test_case "G_{2,1} gadget ops" `Slow test_gadget;

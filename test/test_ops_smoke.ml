@@ -9,7 +9,11 @@
       three stores and across --jobs values, pinned by sha256;
    3. a 3-shard `serve router --op` run (fork spawn, hash partition)
       produces the same answer bytes as the in-process stores, and two
-      same-seed runs are byte-identical to each other;
+      same-seed runs are byte-identical to each other; with faults
+      injected into the ops evaluator the answers stay exact and are
+      flagged bfs; a top-k past the reachable set of a disconnected
+      graph ends in its unreachable vertices at inf, in id order, in
+      process and through the router;
    4. the shared store-kind resolver rejects the documented bad
       combinations with exit 124 on every subcommand that takes them,
       and bad --op spellings exit 124 / out-of-range operands exit 11.
@@ -161,6 +165,108 @@ let () =
   check "router: same-seed runs byte-identical" (ha = hb);
   check "router: merge = in-process stores" (ha = sha256 assoc_answers);
   Printf.printf "scenario 3 (3-shard router merge byte-identical): ok\n%!"
+
+(* ----- 3b. faults injected into the ops evaluator ------------------- *)
+
+(* Half the calls of the store's ops evaluator fail. Only aggregates
+   are asked for, so no point query draws a fault: those answers come
+   from the BFS fallback, every answer stays exact, the faults are
+   counted and the run exits degraded (12). *)
+let () =
+  let aggregates =
+    [
+      "top-k:1,5"; "top-k:5,6"; "one-to-many:2:0,7,11,2";
+      "many-to-many:1,2:3,4,5"; "ecc:3"; "farthest:9"; "top-k:0,3"; "ecc:8";
+    ]
+  in
+  let run extra =
+    run_cli
+      ([
+         "serve"; "query"; "--graph-file"; graph_file; "--labels-file";
+         packed_file;
+       ]
+      @ List.concat_map (fun op -> [ "--op"; op ]) aggregates
+      @ extra)
+  in
+  let clean_code, clean = run [] in
+  let code, lines =
+    run [ "--inject-fraction"; "0.5"; "--inject-mode"; "fail" ]
+  in
+  check "faulty ops: the clean run exits 0" (clean_code = 0);
+  check "faulty ops: exits 12" (code = 12);
+  check "faulty ops: answers exact" (op_answers lines = op_answers clean);
+  let stats = List.find (String.starts_with ~prefix:"stats:") lines in
+  check "faulty ops: faults counted"
+    (not (List.mem "faults=0" (String.split_on_char ' ' stats)));
+  check "faulty ops: fallback answers flagged bfs"
+    (List.exists
+       (fun l -> String.contains l '>' && String.ends_with ~suffix:" bfs" l)
+       lines);
+  Printf.printf "scenario 3b (faulty ops evaluator: exact, bfs-flagged): ok\n%!"
+
+(* ----- 3c. top-k past the reachable set, through the router --------- *)
+
+(* A graph of many components — the path 0-1-2-3, the edge 4-5 and the
+   isolated vertices 6..23 — and its full labeling (every vertex is a
+   hub of its whole component). From vertex 1 only four vertices are
+   reachable, so k = 6 makes each shard's threshold merge (12 owned
+   candidates) run out of lists and fill its tail with its unreachable
+   owned vertices at inf, and the router's merge must keep them in id
+   order. *)
+let () =
+  let g = Filename.temp_file "ops_smoke_cc" ".graph" in
+  let l = Filename.temp_file "ops_smoke_cc" ".labels" in
+  let write path text =
+    Out_channel.with_open_bin path (fun oc -> output_string oc text)
+  in
+  let n = 24 in
+  write g (Printf.sprintf "%d 4\n0 1\n1 2\n2 3\n4 5\n" n);
+  let comp v =
+    if v < 4 then [ 0; 1; 2; 3 ] else if v < 6 then [ 4; 5 ] else [ v ]
+  in
+  let label v =
+    let c = comp v in
+    String.concat " "
+      (string_of_int v
+      :: string_of_int (List.length c)
+      :: List.concat_map
+           (fun h -> [ string_of_int h; string_of_int (abs (h - v)) ])
+           c)
+  in
+  let total = 16 + 4 + (n - 6) in
+  write l
+    (String.concat "\n"
+       (Printf.sprintf "%d %d" n total :: List.init n label)
+    ^ "\n");
+  let expect =
+    [
+      "top-k:1,6 -> nearest 1:0,0:1,2:1,3:2,4:inf,5:inf";
+      "top-k-among:1,6:0,2,4,5,6 -> nearest 0:1,2:1,4:inf,5:inf,6:inf";
+    ]
+  in
+  let ops = [ "--op"; "top-k:1,6"; "--op"; "top-k-among:1,6:0,2,4,5,6" ] in
+  List.iter
+    (fun (name, sub, extra) ->
+      let code, lines =
+        run_cli
+          ([ "serve"; sub; "--graph-file"; g; "--labels-file"; l ]
+          @ extra @ ops)
+      in
+      check (name ^ ": exits 0") (code = 0);
+      if op_answers lines <> expect then
+        fail "%s: got [%s]" name (String.concat "; " (op_answers lines)))
+    [
+      ("query", "query", []);
+      ( "router hash",
+        "router",
+        [ "--shards"; "2"; "--partition"; "hash"; "--clock-step"; "1000" ] );
+      ( "router range",
+        "router",
+        [ "--shards"; "2"; "--partition"; "range"; "--clock-step"; "1000" ] );
+    ];
+  Sys.remove g;
+  Sys.remove l;
+  Printf.printf "scenario 3c (top-k past the reachable set, inf tail): ok\n%!"
 
 (* ----- 4. the shared resolver and typed failure exits ---------------- *)
 
