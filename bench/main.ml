@@ -517,7 +517,8 @@ module type STORE = sig
   val query_many :
     ?pool:Repro_par.Pool.t -> t -> (int * int) array -> int array
   val ops :
-    ?pool:Repro_par.Pool.t -> ?owned:int array -> t -> Backend.ops
+    ?pool:Repro_par.Pool.t -> ?owned:int array -> ?budget:int -> t ->
+    Backend.ops
 end
 
 (* name, opened from a file (time and weigh the open), store, open *)

@@ -691,7 +691,8 @@ let build_serving_oracle ?clock ?(instrument_primary = true) ~registry
         Backend.make_ops
           ~name:(Backend.ops_name o ^ "+faults")
           ~space_words:(Backend.ops_space_words o)
-          ~op:(Fault_injector.wrap_op inj (Backend.op o))
+          ~n:(Graph.n g)
+          ~op:(Fault_injector.wrap_op inj (Backend.op_valid o))
           (Backend.query (Backend.base o))
   in
   let store =
@@ -705,7 +706,10 @@ let build_serving_oracle ?clock ?(instrument_primary = true) ~registry
            (fun s -> wrap_primary (Resilient_oracle.store_primary ?step_budget s))
            store)
       ?primary_ops:
-        (Option.map (fun (s : Label_store.packed) -> wrap_ops (s.ops ())) store)
+        (Option.map
+           (fun (s : Label_store.packed) ->
+             wrap_ops (s.ops ?budget:step_budget ()))
+           store)
       g
   in
   (oracle, fun () -> Option.bind store (fun s -> s.Label_store.cache_stats ()))
@@ -807,7 +811,8 @@ let serve_query_cmd =
       "Aggregate operation (repeatable): 'dist:U,V', 'batch:U,V;U,V', \
        'one-to-many:S:T1,T2', 'many-to-many:S1,S2:T1,T2', 'top-k:S,K', \
        'top-k-among:S,K:V1,V2' (candidates ascending), 'ecc:V', \
-       'farthest:V' or 'diam'. Served through the resilient \
+       'farthest:V', 'farthest-among:S:V1,V2' (candidates ascending) or \
+       'diam'. Served through the resilient \
        per-op degradation path and instrumented under ops.<name>.*."
     in
     Arg.(value & opt_all string [] & info [ "op" ] ~docv:"OP" ~doc)

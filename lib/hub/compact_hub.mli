@@ -154,7 +154,11 @@ val backend : t -> Repro_obs.Backend.t
     ["compact-hub-labeling"]), traced as {!Label_store.Make}. *)
 
 val ops :
-  ?pool:Repro_par.Pool.t -> ?owned:int array -> t -> Repro_obs.Backend.ops
+  ?pool:Repro_par.Pool.t ->
+  ?owned:int array ->
+  ?budget:int ->
+  t ->
+  Repro_obs.Backend.ops
 (** The store as an ops backend ({!Label_store.Make}): [Dist] /
     [Batch] decode straight off the blob; aggregates run over a lazily
     built shared {!Hub_index} (heap-resident, paid only when an

@@ -99,7 +99,11 @@ val backend : t -> Repro_obs.Backend.t
     never touched). *)
 
 val ops :
-  ?pool:Repro_par.Pool.t -> ?owned:int array -> t -> Repro_obs.Backend.ops
+  ?pool:Repro_par.Pool.t ->
+  ?owned:int array ->
+  ?budget:int ->
+  t ->
+  Repro_obs.Backend.ops
 (** The store as an ops backend: [Dist] / [Batch] go through the
     two-pointer point query; every aggregate request runs over a
     shared {!Hub_index} built lazily on first aggregate use (see

@@ -17,15 +17,30 @@ type merge = {
   mark : Bytes.t;
 }
 
+(* The ball kernel's scratch: the hubs of the source's label whose
+   runs are not empty, with d(s, h), and two bitsets over the indexed
+   vertices: the ball being built and the last one found not full. *)
+type ball = { hub : int array; base : int array; bits : int array; low : int array }
+
 type t = {
   n : int;
   vertices : int array; (* the indexed vertices, ascending *)
   offsets : int array; (* length n + 1; hub h's entries at offsets.(h) .. *)
   verts : int array; (* entry vertex, by (dist, vertex) within a hub *)
   dists : int array; (* distance from the entry vertex to the hub *)
+  rank : int array; (* a vertex's position in [vertices]: its ball bit *)
+  words : int; (* words per bitset over the indexed vertices *)
+  lay_start : int array; (* length n + 1; hub h's layers, none if unlayered *)
+  lay_dist : int array; (* the distance a layer reaches *)
+  layers : int array; (* layer g's bitset at words g * words .. *)
   rows : int array Scratch.t; (* n-word rows, contents undefined at rest *)
   merges : merge Scratch.t;
+  balls : ball Scratch.t;
 }
+
+(* A bitset over the indexed vertices packs [bits] of them per word,
+   the rank-th at bit [rank mod bits] of word [rank / bits]. *)
+let bits = Sys.int_size
 
 let rest = '\000'
 let candidate = '\001'
@@ -84,6 +99,47 @@ let sort_runs ~n ~dmax offsets verts dists =
     end
   done
 
+(* The distance layers. A hub whose run holds [k] distinct distances
+   gets [k] cumulative bitsets over the indexed vertices, the j-th
+   holding every entry within the j-th smallest distance, when they
+   take no more words than the run has entries ([k * words <= len]).
+   One counting pass sizes the flat arrays, a second fills them: each
+   layer starts as a copy of the one before and adds its distance's
+   entries, which the (dist, vertex) order makes consecutive. *)
+let build_layers ~n ~words ~rank offsets verts dists =
+  let distinct h =
+    let k = ref 0 in
+    for e = offsets.(h) to offsets.(h + 1) - 1 do
+      if e = offsets.(h) || dists.(e) <> dists.(e - 1) then incr k
+    done;
+    !k
+  in
+  let lay_start = Array.make (n + 1) 0 in
+  for h = 0 to n - 1 do
+    let k = distinct h in
+    lay_start.(h + 1) <-
+      (lay_start.(h) + if k * words <= offsets.(h + 1) - offsets.(h) then k else 0)
+  done;
+  let lay_dist = Array.make lay_start.(n) 0 in
+  let layers = Array.make (lay_start.(n) * words) 0 in
+  for h = 0 to n - 1 do
+    let g = ref (lay_start.(h) - 1) in
+    if lay_start.(h) < lay_start.(h + 1) then
+      for e = offsets.(h) to offsets.(h + 1) - 1 do
+        let d = dists.(e) in
+        if e = offsets.(h) || d <> dists.(e - 1) then begin
+          incr g;
+          lay_dist.(!g) <- d;
+          if !g > lay_start.(h) then
+            Array.blit layers ((!g - 1) * words) layers (!g * words) words
+        end;
+        let r = rank.(verts.(e)) in
+        let i = (!g * words) + (r / bits) in
+        layers.(i) <- layers.(i) lor (1 lsl (r mod bits))
+      done
+  done;
+  (lay_start, lay_dist, layers)
+
 let build ~n ~walk vertices =
   Repro_obs.Span.run ~name:"hub-index.build" (fun () ->
       if n < 0 then invalid_arg "Hub_index.build: negative n";
@@ -119,6 +175,12 @@ let build ~n ~walk vertices =
           next.(h) <- e + 1);
       sort_runs ~n ~dmax:!dmax offsets verts dists;
       Repro_obs.Span.count "entries" total;
+      let rank = Array.make n 0 in
+      Array.iteri (fun i v -> rank.(v) <- i) vertices;
+      let words = (Array.length vertices + bits - 1) / bits in
+      let lay_start, lay_dist, layers =
+        build_layers ~n ~words ~rank offsets verts dists
+      in
       let rows = Scratch.create (fun () -> Array.make n Dist.inf) in
       let merges =
         Scratch.create (fun () ->
@@ -126,13 +188,23 @@ let build ~n ~walk vertices =
             { key = a (); vert = a (); pos = a (); stop = a (); base = a ();
               mark = Bytes.make n rest })
       in
-      { n; vertices; offsets; verts; dists; rows; merges })
+      let balls =
+        Scratch.create (fun () ->
+            { hub = Array.make n 0; base = Array.make n 0;
+              bits = Array.make words 0; low = Array.make words 0 })
+      in
+      { n; vertices; offsets; verts; dists; rank; words; lay_start; lay_dist;
+        layers; rows; merges; balls })
 
 let n t = t.n
+let indexed t = Array.length t.vertices
 let total_size t = t.offsets.(t.n)
+let layer_words t = Array.length t.layers
 
 let space_words t =
   Array.length t.offsets + Array.length t.verts + Array.length t.dists
+  + Array.length t.rank + Array.length t.lay_start + Array.length t.lay_dist
+  + Array.length t.layers
 
 (* A source entry is range-checked before it indexes [offsets]: the
    label comes from the store, which may be a shallow-validated mapped
@@ -298,13 +370,159 @@ let nearest t ~walk s ~k among =
     out
   end
 
-let max_of (row : int array) =
-  let m = ref 0 in
-  for w = 0 to Array.length row - 1 do
-    let d = Array.unsafe_get row w in
-    if d > !m then m := d
+(* ----- eccentricity by ball bitsets --------------------------------- *)
+
+(* The ball of radius tau around s over the indexed vertices is the OR,
+   over the hubs h of L(s), of h's entries within tau - d(s, h): by the
+   2-hop cover property, d(s, w) <= tau iff some shared hub has
+   d(s, h) + d(h, w) <= tau. A layered hub contributes its largest
+   layer within that reach, [words] words; any other scans the prefix
+   of its distance-sorted run. *)
+
+(* The least number of probes a binary search over the radii
+   [-1, top] needs once [top] is known full: ceil (log2 (top + 1)). *)
+let probes top =
+  let rec go p span = if span <= 1 then p else go (p + 1) ((span + 1) / 2) in
+  go 0 (top + 1)
+
+(* The largest finite label distance from [s] reachable through hub
+   [h] at [d_sh]: its run's last (largest) distance, capped below
+   [Dist.inf] as the row caps its sums. *)
+let reach t h d_sh = min (Dist.inf - 1) (d_sh + t.dists.(t.offsets.(h + 1) - 1))
+
+let ball_cost t ~walk s =
+  let top = ref (-1) in
+  let per =
+    walk s
+      (fun acc h d ->
+        if not (entry_ok t h d) then invalid_arg "Hub_index.ball_cost: bad entry";
+        let len = t.offsets.(h + 1) - t.offsets.(h) in
+        if len = 0 then acc
+        else begin
+          top := max !top (reach t h d);
+          acc
+          + if t.lay_start.(h) < t.lay_start.(h + 1) then t.words else len
+        end)
+      0
+  in
+  (1 + probes !top) * (per + t.words)
+
+(* Fill [b.bits] with the ball of radius [tau] over the [size] hubs
+   collected in [b]; true when it holds every indexed vertex. The pad
+   bits past the last indexed vertex are set, so a full ball is all
+   ones. *)
+let fill_ball t b size tau =
+  let words = t.words and bs = b.bits in
+  let lay_start = t.lay_start and lay_dist = t.lay_dist
+  and layers = t.layers in
+  Array.fill bs 0 words 0;
+  let tail = Array.length t.vertices mod bits in
+  if tail > 0 then bs.(words - 1) <- -1 lsl tail;
+  for i = 0 to size - 1 do
+    let h = Array.unsafe_get b.hub i in
+    let r = tau - Array.unsafe_get b.base i in
+    if r >= 0 then begin
+      (* in bounds: [h] was range-checked when collected, every layer
+         index lies in its hub's [lay_start] range, every entry in its
+         run, and every rank below the indexed count *)
+      let g0 = Array.unsafe_get lay_start h
+      and g1 = Array.unsafe_get lay_start (h + 1) in
+      if g0 < g1 then begin
+        let g = ref g0 in
+        while !g < g1 && Array.unsafe_get lay_dist !g <= r do
+          incr g
+        done;
+        if !g > g0 then begin
+          let o = (!g - 1) * words in
+          for j = 0 to words - 1 do
+            Array.unsafe_set bs j
+              (Array.unsafe_get bs j lor Array.unsafe_get layers (o + j))
+          done
+        end
+      end
+      else begin
+        let e = ref (Array.unsafe_get t.offsets h)
+        and hi = Array.unsafe_get t.offsets (h + 1) in
+        while !e < hi && Array.unsafe_get t.dists !e <= r do
+          let x = Array.unsafe_get t.rank (Array.unsafe_get t.verts !e) in
+          let j = x / bits in
+          Array.unsafe_set bs j
+            (Array.unsafe_get bs j lor (1 lsl (x mod bits)));
+          incr e
+        done
+      end
+    end
   done;
-  !m
+  let rec full j = j = words || (Array.unsafe_get bs j = -1 && full (j + 1)) in
+  full 0
+
+(* The indexed vertex of the lowest clear bit of [bs], which the
+   caller knows is not full. *)
+let lowest_clear t bs =
+  let j = ref 0 in
+  while bs.(!j) = -1 do
+    incr j
+  done;
+  let x = lnot bs.(!j) in
+  let i = ref 0 in
+  while (x lsr !i) land 1 = 0 do
+    incr i
+  done;
+  t.vertices.((!j * bits) + !i)
+
+let farthest t ~walk s =
+  if Array.length t.vertices = 0 then None
+  else begin
+    let b = Scratch.take t.balls in
+    let top = ref (-1) in
+    (* one slot per hub of L(s) whose run is not empty; a label of more
+       than n entries repeats a hub *)
+    let size =
+      walk s
+        (fun size h d_sh ->
+          if not (entry_ok t h d_sh) then
+            invalid_arg "Hub_index.farthest: bad entry";
+          if t.offsets.(h) = t.offsets.(h + 1) then size
+          else if size = t.n then invalid_arg "Hub_index.farthest: bad label"
+          else begin
+            b.hub.(size) <- h;
+            b.base.(size) <- d_sh;
+            top := max !top (reach t h d_sh);
+            size + 1
+          end)
+        0
+    in
+    let answer =
+      if not (fill_ball t b size !top) then
+        (* beyond the largest finite label distance: unreachable *)
+        (lowest_clear t b.bits, Dist.inf)
+      else begin
+        (* the least full radius in (lo, hi]: full at hi, not at lo,
+           whose ball [b.low] keeps once probed *)
+        let lo = ref (-1) and hi = ref !top in
+        while !hi - !lo > 1 do
+          let mid = (!lo + !hi) / 2 in
+          if fill_ball t b size mid then hi := mid
+          else begin
+            lo := mid;
+            Array.blit b.bits 0 b.low 0 t.words
+          end
+        done;
+        (* ball (-1) is empty: every vertex lies at distance 0 *)
+        ((if !lo < 0 then t.vertices.(0) else lowest_clear t b.low), !hi)
+      end
+    in
+    Repro_obs.Span.count "ball_hubs" size;
+    Scratch.give t.balls b;
+    Some answer
+  end
+
+let row_farthest t ~walk s among =
+  with_row t ~walk s (fun row ->
+      if Array.length among = t.n then Ops.farthest_in ~vertex:Fun.id row
+      else
+        Ops.farthest_in ~vertex:(Array.get among)
+          (Array.map (Array.get row) among))
 
 (* Independent per-index work fanned out across the pool; writes are
    per-index only, so results are byte-identical for any job count. *)
@@ -314,14 +532,12 @@ let fan pool ~m f =
         f i
       done)
 
-let eval ?pool t ~walk ~targets ~nearest req =
-  (match Ops.validate ~n:t.n req with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Hub_index.eval: " ^ msg));
+let eval ?pool t ~targets ~nearest ~farthest (req : Ops.valid) =
   let pool_of () =
     match pool with Some p -> p | None -> Repro_par.Pool.default ()
   in
-  match req with
+  let ecc v = match farthest v t.vertices with Some (_, d) -> d | None -> 0 in
+  match (req :> Ops.request) with
   | Ops.Dist _ | Ops.Batch _ ->
       invalid_arg "Hub_index.eval: point requests use the store's merge"
   | Ops.One_to_many { source; targets = ts } -> Ops.R_dists (targets source ts)
@@ -334,21 +550,20 @@ let eval ?pool t ~walk ~targets ~nearest req =
       Ops.R_nearest (nearest source ~k t.vertices)
   | Ops.Top_k_among { source; k; among } ->
       Ops.R_nearest (nearest source ~k among)
-  | Ops.Eccentricity v -> Ops.R_ecc (with_row t ~walk v max_of)
-  | Ops.Farthest v -> (
-      match with_row t ~walk v (Ops.farthest_in ~vertex:Fun.id) with
-      | Some (vertex, dist) -> Ops.R_farthest { vertex; dist }
-      | None -> Ops.R_farthest { vertex = v; dist = 0 })
+  | Ops.Eccentricity v -> Ops.R_ecc (ecc v)
+  | Ops.Farthest v -> Ops.farthest_response (farthest v t.vertices)
+  | Ops.Farthest_among { source; among } ->
+      Ops.farthest_response (farthest source among)
   | Ops.Diameter_radius ->
       if t.n = 0 then Ops.R_diam_rad { diameter = 0; radius = 0 }
       else begin
-        let ecc = Array.make t.n 0 in
-        fan (pool_of ()) ~m:t.n (fun v -> ecc.(v) <- with_row t ~walk v max_of);
+        let eccs = Array.make t.n 0 in
+        fan (pool_of ()) ~m:t.n (fun v -> eccs.(v) <- ecc v);
         let dia = ref 0 and rad = ref max_int in
         Array.iter
           (fun e ->
             if e > !dia then dia := e;
             if e < !rad then rad := e)
-          ecc;
+          eccs;
         Ops.R_diam_rad { diameter = !dia; radius = !rad }
       end

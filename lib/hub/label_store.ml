@@ -86,7 +86,7 @@ type packed = {
   with_cache : cache_slots:int -> packed;
   cache_stats : unit -> (int * int) option;
   backend : Repro_obs.Backend.t;
-  ops : ?owned:int array -> unit -> Repro_obs.Backend.ops;
+  ops : ?owned:int array -> ?budget:int -> unit -> Repro_obs.Backend.ops;
 }
 
 type cache = {
@@ -109,6 +109,10 @@ let scatter_wins ~probed ~row_cost = scatter_factor * probed <= row_cost
    every entry of the source's runs, each at a heap step, where the
    row scans each once. *)
 let merge_wins ~k ~candidates = 4 * min k candidates <= 3 * candidates
+
+(* The ball kernel predicts its work in the row's own units (words
+   and entries written), so the cheaper prediction wins outright. *)
+let ball_wins ~ball_cost ~row_cost = ball_cost <= row_cost
 
 module Make (F : FORMAT) = struct
   (* [n] and the cache live here, not in the format, so the bounds
@@ -276,11 +280,13 @@ module Make (F : FORMAT) = struct
     Repro_par.Scratch.give tables tbl;
     out
 
-  let ops ?pool ?owned t =
+  let ops ?pool ?owned ?budget t =
     let q = query t and n = t.n and fmt = t.fmt in
     let walk : Hub_index.walk = F.fold_label fmt in
     let full = lazy (Hub_index.build ~n ~walk (Array.init n Fun.id)) in
-    (* a row read only at owned targets is exact over the owned index *)
+    (* a row read only at owned targets is exact over the owned index;
+       the owned array itself, as a shard's worker passes it, needs no
+       membership scan *)
     let index_for =
       match owned with
       | None -> fun _ -> full
@@ -293,15 +299,28 @@ module Make (F : FORMAT) = struct
             vs;
           let part = lazy (Hub_index.build ~n ~walk vs) in
           let is_mine w = in_range t w && Bytes.unsafe_get mine w = '\001' in
-          fun ts -> if Array.for_all is_mine ts then part else full
+          fun ts -> if ts == vs || Array.for_all is_mine ts then part else full
     in
     let tables = Repro_par.Scratch.create (fun () -> Array.make n Dist.inf) in
-    let targets idx s ts =
+    (* Each kernel choice as (predicted work, cheaper kernel): the
+       budget reads the first, the kernel the second. *)
+    let targets_plan idx s ts =
       let probed =
         Array.fold_left (fun acc w -> acc + F.size fmt w) (F.size fmt s) ts
       in
       let row_cost = Hub_index.row_cost idx ~walk s in
-      if scatter_wins ~probed ~row_cost then scatter t tables s ts
+      if scatter_wins ~probed ~row_cost then (probed, true) else (row_cost, false)
+    in
+    let farthest_plan idx s ~candidates =
+      let row_cost = Hub_index.row_cost idx ~walk s in
+      if candidates < Hub_index.indexed idx then (row_cost, false)
+      else
+        let ball_cost = Hub_index.ball_cost idx ~walk s in
+        if ball_wins ~ball_cost ~row_cost then (ball_cost, true)
+        else (row_cost, false)
+    in
+    let targets idx s ts =
+      if snd (targets_plan idx s ts) then scatter t tables s ts
       else Hub_index.targets idx ~walk s ts
     in
     let nearest idx s ~k among =
@@ -309,25 +328,58 @@ module Make (F : FORMAT) = struct
         Hub_index.nearest idx ~walk s ~k among
       else Hub_index.row_nearest idx ~walk s ~k among
     in
+    let farthest idx s among =
+      if snd (farthest_plan idx s ~candidates:(Array.length among)) then
+        Hub_index.farthest idx ~walk s
+      else Hub_index.row_farthest idx ~walk s among
+    in
+    (* the predicted work of a whole request; top-k's is the row's
+       either way, as the merge pops at most the entries the row
+       scans *)
+    let work idx (req : Repro_obs.Ops.valid) =
+      let ecc v = fst (farthest_plan idx v ~candidates:n) in
+      match (req :> Repro_obs.Ops.request) with
+      | Dist _ | Batch _ -> 0
+      | One_to_many { source; targets = ts } -> fst (targets_plan idx source ts)
+      | Many_to_many { sources; targets = ts } ->
+          Array.fold_left
+            (fun acc s -> acc + fst (targets_plan idx s ts))
+            0 sources
+      | Top_k_nearest { source; _ } | Top_k_among { source; _ } ->
+          Hub_index.row_cost idx ~walk source
+      | Eccentricity v | Farthest v -> ecc v
+      | Farthest_among { source; among } ->
+          fst (farthest_plan idx source ~candidates:(Array.length among))
+      | Diameter_radius ->
+          let acc = ref 0 in
+          for v = 0 to n - 1 do
+            acc := !acc + ecc v
+          done;
+          !acc
+    in
     let eval idx req =
       let idx = Lazy.force idx in
-      Hub_index.eval ?pool idx ~walk ~targets:(targets idx)
-        ~nearest:(nearest idx) req
+      Option.iter
+        (fun b -> if work idx req > b then raise Repro_obs.Backend.Over_budget)
+        budget;
+      Hub_index.eval ?pool idx ~targets:(targets idx) ~nearest:(nearest idx)
+        ~farthest:(farthest idx) req
     in
-    let op req =
-      match req with
-      | Repro_obs.Ops.Dist _ | Repro_obs.Ops.Batch _ ->
+    let op (req : Repro_obs.Ops.valid) =
+      match (req :> Repro_obs.Ops.request) with
+      | Dist _ | Batch _ ->
           (* point queries run the format's merge and never force the
              inverted index *)
-          Repro_obs.Ops.brute ~n ~query:q req
-      | Repro_obs.Ops.One_to_many { targets = ts; _ }
-      | Repro_obs.Ops.Many_to_many { targets = ts; _ }
-      | Repro_obs.Ops.Top_k_among { among = ts; _ } ->
+          Repro_obs.Ops.brute ~n ~query:q (req :> Repro_obs.Ops.request)
+      | One_to_many { targets = ts; _ }
+      | Many_to_many { targets = ts; _ }
+      | Top_k_among { among = ts; _ }
+      | Farthest_among { among = ts; _ } ->
           eval (index_for ts) req
       | _ -> eval full req
     in
     Repro_obs.Backend.make_ops ~name:F.backend_name
-      ~space_words:(space_words t) ~detailed:(detailed t) ~op q
+      ~space_words:(space_words t) ~detailed:(detailed t) ~n ~op q
 
   let rec pack t =
     {
@@ -337,6 +389,6 @@ module Make (F : FORMAT) = struct
       with_cache = (fun ~cache_slots -> pack (with_cache ~cache_slots t));
       cache_stats = (fun () -> cache_stats t);
       backend = backend t;
-      ops = (fun ?owned () -> ops ?owned t);
+      ops = (fun ?owned ?budget () -> ops ?owned ?budget t);
     }
 end

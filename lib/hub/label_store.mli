@@ -106,7 +106,7 @@ type packed = {
           removes it) *)
   cache_stats : unit -> (int * int) option;
   backend : Repro_obs.Backend.t;
-  ops : ?owned:int array -> unit -> Repro_obs.Backend.ops;
+  ops : ?owned:int array -> ?budget:int -> unit -> Repro_obs.Backend.ops;
       (** {!Make.ops} over the default pool; each application has its
           own lazily built indexes, shared by every user of the value
           it returns *)
@@ -128,6 +128,16 @@ val merge_wins : k:int -> candidates:int -> bool
     pops nearly every entry of the source's runs at a heap step each,
     and so it does whenever fewer than [k] candidates are reachable
     (docs/PERFORMANCE.md, "Top-k by threshold merge"). *)
+
+val ball_wins : ball_cost:int -> row_cost:int -> bool
+(** The rule by which {!Make}'s [ops] answers a farthest vertex over
+    all the indexed vertices: by {!Hub_index.farthest}'s ball bitsets
+    when [ball_cost] ({!Hub_index.ball_cost}) is at most [row_cost]
+    ({!Hub_index.row_cost}), else by reducing the row. Both predict
+    words and entries written, so no factor weighs them; on a
+    weighted graph with many distinct distances few hubs are layered,
+    the probes multiply whole lists, and the row wins
+    (docs/PERFORMANCE.md, "Eccentricity by ball bitsets"). *)
 
 (** {1 The serving core} *)
 
@@ -182,18 +192,26 @@ module Make (F : FORMAT) : sig
       and a hit scans 0 entries. *)
 
   val ops :
-    ?pool:Repro_par.Pool.t -> ?owned:int array -> t -> Repro_obs.Backend.ops
+    ?pool:Repro_par.Pool.t ->
+    ?owned:int array ->
+    ?budget:int ->
+    t ->
+    Repro_obs.Backend.ops
   (** [Dist] and [Batch] run the point query and never build an
       index; every aggregate runs over a {!Hub_index} built lazily on
       first use, and allocates no n-sized array per call once warm.
       With [owned] (a shard's vertices, ascending), a [One_to_many] or
       [Many_to_many] whose targets are all owned, or a [Top_k_among]
-      whose candidates are, runs over a second index of the owned
-      labels only; it reads no other label but the source's. Every
-      other aggregate runs over the full index. [Top_k_nearest] and
-      [Top_k_among] take the threshold merge or the row by
-      {!merge_wins}; [Eccentricity], [Farthest] and [Diameter_radius]
-      reduce the index's reused row. Each row of [One_to_many] and
+      or [Farthest_among] whose candidates are, runs over a second
+      index of the owned labels only; it reads no other label but the
+      source's. The [owned] array itself is recognised without a
+      membership scan. Every other aggregate runs over the full index.
+      [Top_k_nearest] and [Top_k_among] take the threshold merge or
+      the row by {!merge_wins}. [Eccentricity], [Farthest], each
+      vertex of [Diameter_radius], and a [Farthest_among] over all of
+      its index's vertices take the ball bitsets or the row by
+      {!ball_wins}; a [Farthest_among] over fewer reduces the row.
+      Each row of [One_to_many] and
       [Many_to_many] takes the cheaper of two kernels: the row, at
       [sum |inv(h)|] entries over the source's hubs, or {e scatter},
       at [|L(s)| + sum |L(t)|] entries — the source's label is written
@@ -201,6 +219,13 @@ module Make (F : FORMAT) : sig
       it, and the table is reset. {!scatter_wins} picks between them.
       [Many_to_many] and [Diameter_radius] fan out across [pool];
       answers are byte-identical for any job count, kernel and [owned].
+
+      With [budget], a request whose predicted work exceeds it raises
+      {!Repro_obs.Backend.Over_budget} before any kernel runs. The
+      prediction is the chosen kernel's, summed over the request's
+      sources: scatter's probed entries or {!Hub_index.row_cost} for a
+      row, {!Hub_index.ball_cost} or the row's for a farthest vertex,
+      and the row's for top-k, which bounds the merge's pops too.
       @raise Invalid_argument if an owned vertex is out of range. *)
 
   val pack : t -> packed

@@ -122,7 +122,11 @@ val backend : t -> Repro_obs.Backend.t
     ["mmap-hub-labeling"]), traced as {!Label_store.Make}. *)
 
 val ops :
-  ?pool:Repro_par.Pool.t -> ?owned:int array -> t -> Repro_obs.Backend.ops
+  ?pool:Repro_par.Pool.t ->
+  ?owned:int array ->
+  ?budget:int ->
+  t ->
+  Repro_obs.Backend.ops
 (** The store as an ops backend ({!Label_store.Make}): [Dist] /
     [Batch] stay on the mapped words; aggregates run over a lazily
     built shared {!Hub_index}, which lives on the heap — the one

@@ -30,10 +30,13 @@ let make ~name ~space_words ?detailed q =
   end in
   (module B : S)
 
+exception Over_budget
+
 module type S_ops = sig
   include S
 
   val op : Ops.request -> Ops.response
+  val op_valid : Ops.valid -> Ops.response
 end
 
 type ops = (module S_ops)
@@ -41,23 +44,25 @@ type ops = (module S_ops)
 let ops_name (module B : S_ops) = B.name
 let ops_space_words (module B : S_ops) = B.space_words
 let op (module B : S_ops) req = B.op req
+let op_valid (module B : S_ops) req = B.op_valid req
 let base (module B : S_ops) = (module B : S)
 
-let make_ops ~name ~space_words ?detailed ~op q =
-  let module Base = (val make ~name ~space_words ?detailed q : S)
-  in
+let with_ops ~n (module Base : S) op_valid =
   let module B = struct
     include Base
 
-    let op = op
+    let op_valid = op_valid
+
+    let op req =
+      match Ops.check ~n req with
+      | Ok v -> op_valid v
+      | Error msg -> invalid_arg (Base.name ^ ".op: " ^ msg)
   end in
   (module B : S_ops)
+
+let make_ops ~name ~space_words ?detailed ~n ~op q =
+  with_ops ~n (make ~name ~space_words ?detailed q) op
 
 let lift ~n backend =
-  let module Base = (val backend : S) in
-  let module B = struct
-    include Base
-
-    let op = Ops.brute ~n ~query:Base.query
-  end in
-  (module B : S_ops)
+  let query = query backend in
+  with_ops ~n backend (fun v -> Ops.brute ~n ~query (v :> Ops.request))

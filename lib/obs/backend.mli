@@ -56,14 +56,24 @@ val make :
     aggregates by brute-force point queries — slower, never wrong, so
     every backend serves every operation. *)
 
+exception Over_budget
+(** Raised by a backend whose predicted work for a query or request
+    exceeds its step budget, before it does any of that work. Serving
+    layers treat it as a clean skip: fall back, no strike
+    ({!Repro_serve.Resilient_oracle.Over_budget} is this exception). *)
+
 module type S_ops = sig
   include S
 
   val op : Ops.request -> Ops.response
-  (** Evaluate one request. Implementations may assume the request is
-      valid for this backend's vertex universe ({!Ops.validate});
-      serving layers validate before dispatch and out-of-range
-      requests raise [Invalid_argument]. *)
+  (** Validate one request against this backend's vertex universe
+      ({!Ops.check}) and evaluate it.
+      @raise Invalid_argument on an invalid request. *)
+
+  val op_valid : Ops.valid -> Ops.response
+  (** Evaluate a request already validated: a serving layer that
+      checked it (and counted a rejection) does not pay for the check
+      twice. *)
 end
 
 type ops = (module S_ops)
@@ -71,6 +81,7 @@ type ops = (module S_ops)
 val ops_name : ops -> string
 val ops_space_words : ops -> int
 val op : ops -> Ops.request -> Ops.response
+val op_valid : ops -> Ops.valid -> Ops.response
 
 val base : ops -> t
 (** Forget the ops surface — the same backend as a plain {!S}. *)
@@ -79,10 +90,12 @@ val make_ops :
   name:string ->
   space_words:int ->
   ?detailed:(int -> int -> int * Trace.t) ->
-  op:(Ops.request -> Ops.response) ->
+  n:int ->
+  op:(Ops.valid -> Ops.response) ->
   (int -> int -> int) ->
   ops
-(** {!make} plus an [op] evaluator. *)
+(** {!make} plus an evaluator of validated requests over the vertex
+    universe [[0, n)]; the module's [op] checks, then calls it. *)
 
 val lift : n:int -> t -> ops
 (** Adapt a plain backend: [op] is {!Ops.brute} over its [query], so

@@ -56,12 +56,3 @@ let instrument_op ?(clock = Clock.monotonic) ?exemplar ?(prefix = "ops")
   | res ->
       finish ();
       res
-
-let instrument_ops ?clock ?prefix registry backend =
-  let module B = (val backend : Backend.S_ops) in
-  let module I = struct
-    include B
-
-    let op req = instrument_op ?clock ?prefix registry B.op req
-  end in
-  (module I : Backend.S_ops)

@@ -58,14 +58,3 @@ val instrument_op :
     bucket's exemplar ({!Metrics.observe}). Polymorphic in the result
     so richer evaluators (e.g. {!Repro_serve.Resilient_oracle.op},
     which also reports its serving stage) instrument identically. *)
-
-val instrument_ops :
-  ?clock:Clock.t ->
-  ?prefix:string ->
-  Metrics.t ->
-  Backend.ops ->
-  Backend.ops
-(** The same backend with every [op] evaluation routed through
-    {!instrument_op}. The point-query path ([query] /
-    [query_detailed]) is left untouched — compose with {!instrument}
-    for that. *)

@@ -9,7 +9,10 @@ type request =
   | Top_k_among of { source : int; k : int; among : int array }
   | Eccentricity of int
   | Farthest of int
+  | Farthest_among of { source : int; among : int array }
   | Diameter_radius
+
+type valid = request
 
 type response =
   | R_dist of int
@@ -27,10 +30,10 @@ let name = function
   | Many_to_many _ -> "many_to_many"
   | Top_k_nearest _ | Top_k_among _ -> "top_k_nearest"
   | Eccentricity _ -> "eccentricity"
-  | Farthest _ -> "farthest"
+  | Farthest _ | Farthest_among _ -> "farthest"
   | Diameter_radius -> "diameter_radius"
 
-let validate ~n req =
+let check ~n req : (valid, string) result =
   let vertex v =
     if v < 0 || v >= n then
       Error (Printf.sprintf "vertex %d out of range [0, %d)" v n)
@@ -46,6 +49,24 @@ let validate ~n req =
     in
     go 0
   in
+  (* a share's source and its strictly ascending candidate list *)
+  let candidates source among =
+    match vertex source with
+    | Error _ as e -> e
+    | Ok () -> (
+        match vertices among with
+        | Error _ as e -> e
+        | Ok () ->
+            let rec ascending i =
+              i >= Array.length among
+              || (Array.unsafe_get among (i - 1) < Array.unsafe_get among i
+                 && ascending (i + 1))
+            in
+            if ascending 1 then Ok ()
+            else Error "among must be strictly ascending")
+  in
+  Result.map (fun () -> req)
+  @@
   match req with
   | Dist { u; v } -> ( match vertex u with Ok () -> vertex v | e -> e)
   | Batch pairs ->
@@ -62,24 +83,14 @@ let validate ~n req =
   | Top_k_nearest { source; k } -> (
       if k < 0 then Error (Printf.sprintf "k must be non-negative, got %d" k)
       else match vertex source with Ok () -> Ok () | e -> e)
-  | Top_k_among { source; k; among } -> (
+  | Top_k_among { source; k; among } ->
       if k < 0 then Error (Printf.sprintf "k must be non-negative, got %d" k)
-      else
-        match vertex source with
-        | Error _ as e -> e
-        | Ok () -> (
-            match vertices among with
-            | Error _ as e -> e
-            | Ok () ->
-                let rec ascending i =
-                  i >= Array.length among
-                  || (Array.unsafe_get among (i - 1) < Array.unsafe_get among i
-                     && ascending (i + 1))
-                in
-                if ascending 1 then Ok ()
-                else Error "among must be strictly ascending"))
+      else candidates source among
+  | Farthest_among { source; among } -> candidates source among
   | Eccentricity v | Farthest v -> vertex v
   | Diameter_radius -> Ok ()
+
+let validate ~n req = Result.map ignore (check ~n req)
 
 (* ----- string forms -------------------------------------------------- *)
 
@@ -103,6 +114,8 @@ let request_to_string = function
       Printf.sprintf "top-k-among:%d,%d:%s" source k (ints_str among)
   | Eccentricity v -> Printf.sprintf "ecc:%d" v
   | Farthest v -> Printf.sprintf "farthest:%d" v
+  | Farthest_among { source; among } ->
+      Printf.sprintf "farthest-among:%d:%s" source (ints_str among)
   | Diameter_radius -> "diam"
 
 let parse_int what s =
@@ -124,6 +137,17 @@ let parse_ints what s =
     go [] parts
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+
+(* A share's "HEAD:V1,V2,..." operands: the head's integers and the
+   candidate list, which may be empty. *)
+let head_among what head rest =
+  match String.index_opt rest ':' with
+  | None -> Error (Printf.sprintf "%s: expected '%s:v1,v2,...'" what head)
+  | Some i ->
+      let* a = parse_ints what (String.sub rest 0 i) in
+      let vs = String.sub rest (i + 1) (String.length rest - i - 1) in
+      let* among = if vs = "" then Ok [||] else parse_ints what vs in
+      Ok (a, among)
 
 let request_of_string s =
   let op, rest =
@@ -174,17 +198,15 @@ let request_of_string s =
       | [| source; k |] -> Ok (Top_k_nearest { source; k })
       | _ -> Error "top-k: expected 's,k'")
   | "top-k-among" -> (
-      match String.index_opt rest ':' with
-      | None -> Error "top-k-among: expected 's,k:v1,v2,...'"
-      | Some i -> (
-          let* a = parse_ints "top-k-among" (String.sub rest 0 i) in
-          let vs = String.sub rest (i + 1) (String.length rest - i - 1) in
-          let* among =
-            if vs = "" then Ok [||] else parse_ints "top-k-among" vs
-          in
-          match a with
-          | [| source; k |] -> Ok (Top_k_among { source; k; among })
-          | _ -> Error "top-k-among: expected 's,k:v1,v2,...'"))
+      let* a, among = head_among "top-k-among" "s,k" rest in
+      match a with
+      | [| source; k |] -> Ok (Top_k_among { source; k; among })
+      | _ -> Error "top-k-among: expected 's,k:v1,v2,...'")
+  | "farthest-among" -> (
+      let* a, among = head_among "farthest-among" "s" rest in
+      match a with
+      | [| source |] -> Ok (Farthest_among { source; among })
+      | _ -> Error "farthest-among: expected 's:v1,v2,...'")
   | "ecc" ->
       let* v = parse_int "ecc" rest in
       Ok (Eccentricity v)
@@ -308,6 +330,10 @@ let farthest_of pairs =
 let nearest_in ~k ~vertex ds = select ~k (Array.length ds) vertex (Array.get ds)
 let farthest_in ~vertex ds = farthest (Array.length ds) vertex (Array.get ds)
 
+let farthest_response = function
+  | Some (vertex, dist) -> R_farthest { vertex; dist }
+  | None -> R_farthest { vertex = -1; dist = 0 }
+
 
 (* ----- brute-force reference ----------------------------------------- *)
 
@@ -316,6 +342,7 @@ let brute ~n ~query req =
   let ecc_of s =
     match farthest_of (row s) with Some (_, d) -> d | None -> 0
   in
+  let among_row s among = Array.map (fun w -> (w, query s w)) among in
   match req with
   | Dist { u; v } -> R_dist (query u v)
   | Batch pairs -> R_dists (Array.map (fun (u, v) -> query u v) pairs)
@@ -325,12 +352,11 @@ let brute ~n ~query req =
       R_matrix (Array.map (fun s -> Array.map (query s) targets) sources)
   | Top_k_nearest { source; k } -> R_nearest (k_nearest ~k (row source))
   | Top_k_among { source; k; among } ->
-      R_nearest (k_nearest ~k (Array.map (fun w -> (w, query source w)) among))
+      R_nearest (k_nearest ~k (among_row source among))
   | Eccentricity v -> R_ecc (ecc_of v)
-  | Farthest v -> (
-      match farthest_of (row v) with
-      | Some (vertex, dist) -> R_farthest { vertex; dist }
-      | None -> R_farthest { vertex = v; dist = 0 })
+  | Farthest v -> farthest_response (farthest_of (row v))
+  | Farthest_among { source; among } ->
+      farthest_response (farthest_of (among_row source among))
   | Diameter_radius ->
       if n = 0 then R_diam_rad { diameter = 0; radius = 0 }
       else begin

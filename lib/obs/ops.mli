@@ -49,6 +49,13 @@ type request =
       (** The farthest vertex from the argument (smallest id on ties)
           together with its distance — the witness behind
           [Eccentricity]. *)
+  | Farthest_among of { source : int; among : int array }
+      (** The vertex of [among] (strictly ascending) farthest from
+          [source], smallest id on ties, with its distance — one
+          shard's share of an [Eccentricity] or [Farthest], with
+          [among] its owned vertices. An empty [among] has no witness:
+          the answer is [R_farthest { vertex = -1; dist = 0 }]
+          ({!farthest_response}). *)
   | Diameter_radius
       (** [max] and [min] eccentricity over every vertex. *)
 
@@ -64,18 +71,27 @@ type response =
 val name : request -> string
 (** Stable metric-name component: ["dist"], ["batch"],
     ["one_to_many"], ["many_to_many"], ["top_k_nearest"] (also for
-    [Top_k_among]), ["eccentricity"], ["farthest"],
-    ["diameter_radius"]. *)
+    [Top_k_among]), ["eccentricity"], ["farthest"] (also for
+    [Farthest_among]), ["diameter_radius"]. *)
+
+type valid = private request
+(** A request {!check} accepted: the evaluators that take one
+    ({!Backend.S_ops.op_valid}, {!Repro_hub.Hub_index.eval}) validate
+    nothing again. Coerce with [(r :> request)] to read it. *)
+
+val check : n:int -> request -> (valid, string) result
+(** Total request validation against a vertex universe of size [n]:
+    every referenced vertex in range, [k >= 0], the [among] of a
+    [Top_k_among] or [Farthest_among] strictly ascending. One pass
+    over the request's vertex lists. *)
 
 val validate : n:int -> request -> (unit, string) result
-(** Total request validation against a vertex universe of size [n]:
-    every referenced vertex in range, [k >= 0], a [Top_k_among]'s
-    [among] strictly ascending. Backends may assume a
-    validated request; serving layers call this before dispatch. *)
+(** {!check}, keeping only the verdict. *)
 
 val request_to_string : request -> string
 (** The CLI spelling, e.g. ["dist:3,7"], ["one-to-many:0:1,2,3"],
-    ["top-k:5,4"], ["top-k-among:5,4:1,3,8"], ["ecc:2"], ["diam"].
+    ["top-k:5,4"], ["top-k-among:5,4:1,3,8"], ["ecc:2"],
+    ["farthest-among:5:1,3,8"], ["diam"].
     Round-trips through
     {!request_of_string}. *)
 
@@ -84,7 +100,8 @@ val request_of_string : string -> (request, string) result
     [batch:U,V;U,V;...], [one-to-many:S:T1,T2,...],
     [many-to-many:S1,S2,...:T1,T2,...], [top-k:S,K],
     [top-k-among:S,K:V1,V2,...] (the list may be empty), [ecc:V],
-    [farthest:V], [diam]. Total: every malformed input is an [Error]. *)
+    [farthest:V], [farthest-among:S:V1,V2,...] (the list may be
+    empty), [diam]. Total: every malformed input is an [Error]. *)
 
 val response_to_string : response -> string
 (** The canonical rendering, e.g. ["dists 1,2,inf"],
@@ -120,6 +137,11 @@ val nearest_in : k:int -> vertex:(int -> int) -> int array -> (int * int) array
 
 val farthest_in : vertex:(int -> int) -> int array -> (int * int) option
 (** [farthest_of] over the candidates [(vertex i, ds.(i))], likewise. *)
+
+val farthest_response : (int * int) option -> response
+(** [R_farthest] of a farthest witness. [None], no candidate at all
+    (a [Farthest_among] over an empty [among]), is
+    [R_farthest { vertex = -1; dist = 0 }]. *)
 
 val brute : n:int -> query:(int -> int -> int) -> request -> response
 (** Evaluate any request with point queries only — the {!Backend.lift}

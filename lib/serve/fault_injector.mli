@@ -25,10 +25,7 @@ val wrap : t -> (int -> int -> int) -> int -> int -> int
     calls. *)
 
 val wrap_op :
-  t ->
-  (Repro_obs.Ops.request -> Repro_obs.Ops.response) ->
-  Repro_obs.Ops.request ->
-  Repro_obs.Ops.response
+  t -> ('req -> Repro_obs.Ops.response) -> 'req -> Repro_obs.Ops.response
 (** [wrap_op t f] is [wrap] for an ops evaluator, drawing from the same
     stream: an injected call raises under [Fail], and otherwise reports
     every distance of [f]'s response as [inf] ([Drop]) or shifted as

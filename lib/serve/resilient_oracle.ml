@@ -24,7 +24,7 @@ type stats = {
   quarantines : int;
 }
 
-exception Over_budget
+exception Over_budget = Backend.Over_budget
 
 (* One incident counter: the [stats] field and its live
    [resilient.<name>] metric, moved together by [bump] only. *)
@@ -256,6 +256,11 @@ let fallback_response t req =
   let row s = Traversal.bfs t.graph s in
   let farthest s = Ops.farthest_in ~vertex:Fun.id (row s) in
   let ecc_of s = match farthest s with Some (_, d) -> d | None -> 0 in
+  (* [among]'s cells of [source]'s row, for a reducer over [among] *)
+  let among_row source among =
+    let r = row source in
+    Array.map (Array.get r) among
+  in
   match req with
   | Ops.Dist { u; v } -> Ops.R_dist (row u).(v)
   | Ops.Batch ps ->
@@ -273,15 +278,13 @@ let fallback_response t req =
   | Ops.Top_k_nearest { source; k } ->
       Ops.R_nearest (Ops.nearest_in ~k ~vertex:Fun.id (row source))
   | Ops.Top_k_among { source; k; among } ->
-      let r = row source in
       Ops.R_nearest
-        (Ops.nearest_in ~k ~vertex:(Array.get among)
-           (Array.map (Array.get r) among))
+        (Ops.nearest_in ~k ~vertex:(Array.get among) (among_row source among))
   | Ops.Eccentricity v -> Ops.R_ecc (ecc_of v)
-  | Ops.Farthest v -> (
-      match farthest v with
-      | Some (vertex, dist) -> Ops.R_farthest { vertex; dist }
-      | None -> Ops.R_farthest { vertex = v; dist = 0 })
+  | Ops.Farthest v -> Ops.farthest_response (farthest v)
+  | Ops.Farthest_among { source; among } ->
+      Ops.farthest_response
+        (Ops.farthest_in ~vertex:(Array.get among) (among_row source among))
   | Ops.Diameter_radius ->
       let n = Graph.n t.graph in
       if n = 0 then Ops.R_diam_rad { diameter = 0; radius = 0 }
@@ -300,11 +303,15 @@ let serve_fallback_op t req =
   (fallback_response t req, Bfs)
 
 let op t req =
-  (match Ops.validate ~n:(Graph.n t.graph) req with
-  | Ok () -> ()
-  | Error msg ->
-      bump t.validation_failures;
-      invalid_arg ("Resilient_oracle.op: " ^ msg));
+  (* the one validation of the request: the primary evaluates it as
+     checked *)
+  let valid =
+    match Ops.check ~n:(Graph.n t.graph) req with
+    | Ok v -> v
+    | Error msg ->
+        bump t.validation_failures;
+        invalid_arg ("Resilient_oracle.op: " ^ msg)
+  in
   match req with
   | Ops.Dist { u; v } ->
       let d, src = query_detailed t u v in
@@ -325,7 +332,7 @@ let op t req =
       bump t.queries;
       match t.primary_ops with
       | Some o when attempt t -> (
-          match Backend.op o req with
+          match Backend.op_valid o valid with
           | resp ->
               if not (answered t) then (resp, Primary)
               else

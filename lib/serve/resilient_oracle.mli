@@ -47,9 +47,12 @@ type stats = {
 
 exception Over_budget
 (** Raised by a budget-capped primary when a query's label scan would
-    exceed the step budget. The serving loop treats it as a clean skip
-    (fall back, no strike); custom primaries may raise it for the same
-    effect. *)
+    exceed the step budget, and by a store's ops evaluator built with
+    the same budget ({!Repro_hub.Label_store.Make.ops}) when a
+    request's predicted work would: the one exception
+    {!Repro_obs.Backend.Over_budget}. The serving loop treats it as a
+    clean skip (fall back, no strike); custom primaries may raise it
+    for the same effect. *)
 
 type t
 
@@ -70,7 +73,7 @@ val create :
 
     [primary_ops] is the fast evaluator behind {!op}: over a label
     store, pass the [ops] of the same {!Repro_hub.Label_store.packed}
-    as [primary]. When omitted, aggregate requests run through
+    as [primary], built with the same [step_budget] as its [budget]. When omitted, aggregate requests run through
     {!Repro_obs.Backend.lift} over [primary] — one point query per
     pair, budget caps included — or straight through the fallback
     chain when there is no primary at all. The lift default is for
@@ -146,7 +149,9 @@ val op : t -> Repro_obs.Ops.request -> Repro_obs.Ops.response * source
     exactly as for points. The fallback evaluates aggregates with one
     exact BFS row per source ([source = Bfs]; the bidirectional stage
     only applies to point queries), so on the unweighted serving
-    graphs every degraded answer is still exact.
+    graphs every degraded answer is still exact. The request is
+    validated once, here: the primary gets it as
+    {!Repro_obs.Ops.valid} ({!Repro_obs.Backend.op_valid}).
     @raise Invalid_argument on an invalid request (counted in
     [validation_failures]). *)
 

@@ -800,11 +800,11 @@ let row_op t acc ~opname ~source ~targets =
     ();
   out
 
-(* The farthest owned (vertex, dist) witness of [v] per shard; the
-   global farthest is then farthest_of over the per-shard witnesses
-   (each already the smallest-id in its shard, so the shared reducer
-   reconstructs the global tie-break). *)
-let ecc_candidates t acc ~opname v =
+(* The farthest vertex from [v]: farthest_of over each shard's
+   farthest owned (vertex, dist) witness (each already the smallest-id
+   in its shard, so the shared reducer reconstructs the global
+   tie-break). *)
+let farthest t acc ~opname v =
   fold_shares t acc ~descending:true t.owned
     ~extract:(fun _ -> function
       | Wire.Ecc_payload { vertex; dist; source; degraded; _ } when vertex >= 0
@@ -817,7 +817,7 @@ let ecc_candidates t acc ~opname v =
     (fun _ id -> Wire.Op_ecc { id; v })
     (fun cands _ c -> match c with Some c -> c :: cands | None -> cands)
     []
-  |> Array.of_list
+  |> Array.of_list |> Obs.Ops.farthest_of
 
 let op_uninstrumented t req =
   let opname = Obs.Ops.name req in
@@ -837,11 +837,8 @@ let op_uninstrumented t req =
   | Obs.Ops.One_to_many { source; targets } ->
       finish (Obs.Ops.R_dists (row_op t acc ~opname ~source ~targets))
   | Obs.Ops.Many_to_many { sources; targets } ->
-      finish
-        (Obs.Ops.R_matrix
-           (Array.map
-              (fun source -> row_op t acc ~opname ~source ~targets)
-              sources))
+      let row source = row_op t acc ~opname ~source ~targets in
+      finish (Obs.Ops.R_matrix (Array.map row sources))
   | Obs.Ops.Top_k_nearest { source; k } ->
       let cands =
         fold_shares t acc ~descending:true t.owned
@@ -859,18 +856,20 @@ let op_uninstrumented t req =
       (* the global k smallest live in the union of per-shard k
          smallest *)
       finish (Obs.Ops.R_nearest (Obs.Ops.k_nearest ~k (Array.concat cands)))
-  | Obs.Ops.Top_k_among { source; k; among } ->
+  | Obs.Ops.Top_k_among { source; among; _ }
+  | Obs.Ops.Farthest_among { source; among } ->
       let ds = row_op t acc ~opname ~source ~targets:among in
+      let vertex = Array.get among in
       finish
-        (Obs.Ops.R_nearest (Obs.Ops.nearest_in ~k ~vertex:(Array.get among) ds))
-  | Obs.Ops.Eccentricity v -> (
-      match Obs.Ops.farthest_of (ecc_candidates t acc ~opname v) with
-      | Some (_, d) -> finish (Obs.Ops.R_ecc d)
-      | None -> finish (Obs.Ops.R_ecc 0))
-  | Obs.Ops.Farthest v -> (
-      match Obs.Ops.farthest_of (ecc_candidates t acc ~opname v) with
-      | Some (vertex, dist) -> finish (Obs.Ops.R_farthest { vertex; dist })
-      | None -> finish (Obs.Ops.R_farthest { vertex = v; dist = 0 }))
+        (match req with
+        | Obs.Ops.Top_k_among { k; _ } ->
+            Obs.Ops.R_nearest (Obs.Ops.nearest_in ~k ~vertex ds)
+        | _ -> Obs.Ops.farthest_response (Obs.Ops.farthest_in ~vertex ds))
+  | Obs.Ops.Eccentricity v ->
+      let far = farthest t acc ~opname v in
+      finish (Obs.Ops.R_ecc (Option.fold ~none:0 ~some:snd far))
+  | Obs.Ops.Farthest v ->
+      finish (Obs.Ops.farthest_response (farthest t acc ~opname v))
   | Obs.Ops.Diameter_radius when Graph.n t.cfg.graph = 0 ->
       finish (Obs.Ops.R_diam_rad { diameter = 0; radius = 0 })
   | Obs.Ops.Diameter_radius ->

@@ -111,7 +111,9 @@ let build_backend cfg ~owned metrics clock =
       store
   in
   let primary_ops =
-    Option.map (fun (s : Label_store.packed) -> s.ops ~owned ()) store
+    Option.map
+      (fun (s : Label_store.packed) -> s.ops ~owned ?budget:cfg.step_budget ())
+      store
   in
   let oracle =
     Resilient_oracle.create ?step_budget:cfg.step_budget
@@ -242,13 +244,6 @@ let run ~input ~output cfg =
         | Error Frame_io.Timeout -> Error Wire.Eof (* no deadline: unreachable *))
   in
   let degraded source = source <> Wire.source_primary in
-  (* [d(source, owned.(i))] for every [i], with the serving source *)
-  let owned_row source f =
-    match serve_op (Obs.Ops.One_to_many { source; targets = owned }) with
-    | Obs.Ops.R_dists ds, src -> f ds (source_code src)
-    | _ -> None
-  in
-  let owned_vertex i = owned.(i) in
   let respond ctx = function
     | Wire.Query { id; u; v } ->
         reply ctx "dist" id (fun () ->
@@ -265,24 +260,16 @@ let run ~input ~output cfg =
                      { id; dists; source; degraded = degraded source })
             | _ -> None)
     | Wire.Op_ecc { id; v } ->
+        (* an empty share answers vertex -1, which the router skips *)
         reply ctx "eccentricity" id (fun () ->
-            if Array.length owned = 0 then
-              Some
-                (Wire.Ecc_payload
-                   {
-                     id;
-                     vertex = -1;
-                     dist = 0;
-                     source = Wire.source_primary;
-                     degraded = false;
-                   })
-            else
-              owned_row v (fun row source ->
-                  Option.map
-                    (fun (vertex, dist) ->
-                      let degraded = degraded source in
-                      Wire.Ecc_payload { id; vertex; dist; source; degraded })
-                    (Obs.Ops.farthest_in ~vertex:owned_vertex row)))
+            match serve_op (Obs.Ops.Farthest_among { source = v; among = owned })
+            with
+            | Obs.Ops.R_farthest { vertex; dist }, src ->
+                let source = source_code src in
+                Some
+                  (Wire.Ecc_payload
+                     { id; vertex; dist; source; degraded = degraded source })
+            | _ -> None)
     | Wire.Op_topk { id; source = s; k } ->
         reply ctx "top_k_nearest" id (fun () ->
             if k < 0 then invalid_arg "top-k: k must be non-negative";

@@ -233,7 +233,9 @@ let test_differential_stats_vs_metrics () =
   let flat = Flat_hub.of_labels labels in
   let primary_ops =
     Backend.make_ops ~name:"raising-ops" ~space_words:0
-      ~op:(function
+      ~n:80
+      ~op:(fun req ->
+        match (req :> Ops.request) with
         | Ops.Eccentricity _ -> failwith "raising ops"
         | req -> Ops.brute ~n:80 ~query:(Hub_label.query lying) req)
       (Flat_hub.query flat)

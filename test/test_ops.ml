@@ -63,6 +63,13 @@ let requests_of ~seed n =
       };
     Ops.Eccentricity (v ());
     Ops.Farthest (v ());
+    Ops.Farthest_among
+      {
+        source = v ();
+        among =
+          Array.of_list
+            (List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id));
+      };
     Ops.Diameter_radius;
   ]
 
@@ -175,6 +182,7 @@ let owned_requests ~seed ~n owned =
             k = Random.State.int rng (Array.length ts + 8);
             among;
           };
+        Ops.Farthest_among { source = v (); among };
       ])
     [ owned; prefix; mixed; others ]
   @ [
@@ -371,6 +379,214 @@ let test_topk_share_merges () =
         (counters ~span:"share" ~counter:"merge_pops" root))
     (packed_stores flat)
 
+(* ----- eccentricity by ball bitsets --------------------------------- *)
+
+(* The ball kernel and the row, directly over every owned index from
+   every source, then every eccentricity-type request through every
+   store kind's share and full ops, against the brute truth; and
+   Diameter_radius byte-identical at jobs 1 and 2 on every kind. *)
+let farthest_agree ~n ~truth ~labels ~seed =
+  let flat = Flat_hub.of_labels labels in
+  let walk v f acc =
+    Array.fold_left (fun acc (h, d) -> f acc h d) acc (Flat_hub.hubs flat v)
+  in
+  let source = seed mod n in
+  let stores = packed_stores flat in
+  List.iter
+    (fun among ->
+      let idx = Hub_index.build ~n ~walk among in
+      if Hub_index.layer_words idx > Hub_index.total_size idx then
+        Alcotest.failf "%d layer words over %d entries"
+          (Hub_index.layer_words idx) (Hub_index.total_size idx);
+      for s = 0 to n - 1 do
+        let expect = truth (Ops.Farthest_among { source = s; among }) in
+        check_resp "ball kernel" ~expect
+          (Ops.farthest_response (Hub_index.farthest idx ~walk s));
+        check_resp "row kernel" ~expect
+          (Ops.farthest_response (Hub_index.row_farthest idx ~walk s among))
+      done;
+      List.iter
+        (fun (name, (p : Label_store.packed)) ->
+          List.iter
+            (fun (kind, b) ->
+              List.iter
+                (fun req ->
+                  check_resp
+                    (Printf.sprintf "%s %s %s" name kind
+                       (Ops.request_to_string req))
+                    ~expect:(truth req) (Backend.op b req))
+                [
+                  Ops.Farthest_among { source; among };
+                  Ops.Eccentricity source;
+                  Ops.Farthest source;
+                ])
+            [ ("share", p.ops ~owned:among ()); ("full", p.ops ()) ])
+        stores)
+    (owned_sets n);
+  let mm = Test_util.mmap_of_flat ~deep:true flat in
+  let compact = Test_util.compact_of_flat ~deep:true ~block:2 flat in
+  let assoc = Hub_label.Store.make ~cache_slots:0 labels in
+  let kinds pool =
+    [
+      ("assoc", Hub_label.Store.ops ~pool assoc);
+      ("flat", Flat_hub.ops ~pool flat);
+      ("mmap", Mmap_hub.ops ~pool mm);
+      ("compact", Compact_hub.ops ~pool compact);
+    ]
+  in
+  let expect = truth Ops.Diameter_radius in
+  Pool.with_pool ~jobs:1 (fun p1 ->
+      Pool.with_pool ~jobs:2 (fun p2 ->
+          List.iter2
+            (fun (name, b1) (_, b2) ->
+              let r1 = Backend.op b1 Ops.Diameter_radius in
+              check_resp (name ^ " diameter, jobs 1") ~expect r1;
+              Alcotest.(check string)
+                (name ^ " diameter, jobs 1 = jobs 2")
+                (Ops.response_to_string r1)
+                (Ops.response_to_string (Backend.op b2 Ops.Diameter_radius)))
+            (kinds p1) (kinds p2)));
+  true
+
+let diff_farthest =
+  Test_util.qcheck
+    "ball = row = BFS brute for ecc, farthest, farthest-among, diameter \
+     (every store; owned sets; connected and disconnected)"
+    ~count:20 Gen.small_graph_gen
+    (fun ((_, _, seed) as params) ->
+      let g = Gen.build_graph params in
+      farthest_agree ~n:(Graph.n g) ~truth:(truth_of g) ~labels:(Pll.build g)
+        ~seed)
+
+let diff_farthest_weighted =
+  Test_util.qcheck
+    "ball = row = Dijkstra brute for ecc, farthest, farthest-among, \
+     diameter (weighted; every store; owned sets)"
+    ~count:15
+    (Gen.weighted_gen ~max_n:20 ~max_deg:3 ())
+    (fun (((_, _, seed) as params), wseed) ->
+      let w = Gen.build_weighted (params, wseed) in
+      let n = Wgraph.n w in
+      let rows = Array.init n (fun s -> Dijkstra.distances w s) in
+      farthest_agree ~n
+        ~truth:(Ops.brute ~n ~query:(fun u v -> rows.(u).(v)))
+        ~labels:(Pll.build_w w) ~seed)
+
+(* On the bench fixture's unweighted labels (n = 2000, random_connected
+   m = 2n) and on labels weighted in [1, 1000), both kernels agree from
+   every source, over a worker's share and the full index. The stores
+   pick the ball on the fixture and the row on the weighted labels,
+   whose many distinct distances leave few hubs layered and many radii
+   to search. The [ball_hubs] counter shows which kernel ran. *)
+let test_ball_or_row () =
+  let picks ~name ~flat ~truth ~ball =
+    let n = Flat_hub.n flat in
+    let walk v f acc =
+      Array.fold_left (fun acc (h, d) -> f acc h d) acc (Flat_hub.hubs flat v)
+    in
+    let owned = Partition.owned Partition.Hash ~shards:2 ~n 0 in
+    let sources = [ 0; 17; n / 2; n - 1 ] in
+    List.iter
+      (fun (kind, among, req) ->
+        let idx = Hub_index.build ~n ~walk among in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s: layer words within the entries" name kind)
+          true
+          (Hub_index.layer_words idx <= Hub_index.total_size idx);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s: space counts the layers" name kind)
+          true
+          (Hub_index.space_words idx
+          >= (2 * Hub_index.total_size idx) + Hub_index.layer_words idx);
+        (* both kernels from every source: with more than 63 indexed
+           vertices a bitset spans several words and some hubs stay
+           unlayered, so the run-prefix scan runs too *)
+        for s = 0 to n - 1 do
+          if
+            Hub_index.farthest idx ~walk s
+            <> Hub_index.row_farthest idx ~walk s among
+          then Alcotest.failf "%s %s: ball <> row from %d" name kind s
+        done;
+        List.iter
+          (fun s ->
+            let ball_cost = Hub_index.ball_cost idx ~walk s
+            and row_cost = Hub_index.row_cost idx ~walk s in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s %s %d: ball (%d) against row (%d)" name kind
+                 s ball_cost row_cost)
+              ball
+              (Label_store.ball_wins ~ball_cost ~row_cost))
+          sources;
+        let b = Flat_hub.ops ~owned flat in
+        let (), root =
+          Repro_obs.Span.profile ~name:"test" (fun () ->
+              List.iter
+                (fun s ->
+                  Repro_obs.Span.run ~name:"op" (fun () ->
+                      let r = req s in
+                      check_resp name ~expect:(truth r) (Backend.op b r)))
+                sources)
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s: the ball kernel ran" name kind)
+          ball
+          (List.for_all (fun c -> c > 0)
+             (counters ~span:"op" ~counter:"ball_hubs" root)))
+      [
+        ( "share",
+          owned,
+          fun source -> Ops.Farthest_among { source; among = owned } );
+        ("full", Array.init n Fun.id, fun v -> Ops.Eccentricity v);
+      ]
+  in
+  let g =
+    Generators.random_connected (Random.State.make [| 20190721 |]) ~n:2000
+      ~m:4000
+  in
+  let rows = Hashtbl.create 8 in
+  let row s =
+    match Hashtbl.find_opt rows s with
+    | Some r -> r
+    | None ->
+        let r = Traversal.bfs g s in
+        Hashtbl.add rows s r;
+        r
+  in
+  picks ~name:"fixture" ~ball:true
+    ~flat:(Flat_hub.of_labels (Pll.build g))
+    ~truth:(Ops.brute ~n:2000 ~query:(fun u v -> (row u).(v)));
+  let w = Gen.build_weighted ~min_w:1 ~max_w:1000 ((400, 800, 7), 11) in
+  let rows = Array.init (Wgraph.n w) (fun s -> Dijkstra.distances w s) in
+  picks ~name:"weighted" ~ball:false
+    ~flat:(Flat_hub.of_labels (Pll.build_w w))
+    ~truth:(Ops.brute ~n:(Wgraph.n w) ~query:(fun u v -> rows.(u).(v)))
+
+(* An empty [among] has no farthest vertex: one answer, defined in
+   [Ops], from the brute, every store's share, the resilient oracle's
+   primary and its BFS fallback alike. *)
+let test_farthest_among_empty () =
+  let g = Gen.build_connected (12, 20, 3) in
+  let flat = Flat_hub.of_labels (Pll.build g) in
+  let req = Ops.Farthest_among { source = 4; among = [||] } in
+  let expect = Ops.farthest_response None in
+  Alcotest.(check string) "the empty answer" "farthest -1:0"
+    (Ops.response_to_string expect);
+  check_resp "brute" ~expect (truth_of g req);
+  List.iter
+    (fun (name, (p : Label_store.packed)) ->
+      check_resp name ~expect (Backend.op (p.ops ~owned:[||] ()) req);
+      check_resp name ~expect (Backend.op (p.ops ()) req))
+    (packed_stores flat);
+  let primary =
+    Resilient_oracle.create ~primary_ops:(Flat_hub.ops flat)
+      ~primary:(Resilient_oracle.flat_primary flat) g
+  in
+  Alcotest.(check bool) "oracle, primary" true
+    (Resilient_oracle.op primary req = (expect, Resilient_oracle.Primary));
+  Alcotest.(check bool) "oracle, search only" true
+    (Resilient_oracle.op (Resilient_oracle.create g) req
+    = (expect, Resilient_oracle.Bfs))
+
 (* ----- both one-to-many kernels, on labels large enough for both ----- *)
 
 (* The stores' rule, {!Label_store.scatter_wins}, applied to entry
@@ -516,6 +732,7 @@ let test_hostile_entry () =
           Ops.One_to_many { source = 25; targets = [| 1; 2; 3 |] };
           Ops.One_to_many { source = 30; targets = low };
           Ops.Top_k_among { source = 30; k = 5; among = low };
+          Ops.Farthest_among { source = 30; among = low };
         ];
       refused ~owned:high
         ([
@@ -523,6 +740,7 @@ let test_hostile_entry () =
            Ops.Many_to_many { sources = [| 25; 0 |]; targets = [| 21; 22 |] };
            (* a target outside [high]: the full index *)
            Ops.One_to_many { source = 25; targets = [| 1; 25 |] };
+           Ops.Farthest_among { source = 0; among = high };
          ]
         @ global);
       (* the bad entry in none of the labels a covered request reads *)
@@ -540,6 +758,7 @@ let test_hostile_entry () =
           Ops.One_to_many { source = 3; targets = [| 21; 39 |] };
           Ops.Many_to_many { sources = [| 3; 25 |]; targets = high };
           Ops.Top_k_among { source = 3; k = 5; among = high };
+          Ops.Farthest_among { source = 3; among = high };
         ])
     [ (hub_word, n + 5); (hub_word, -1); (hub_word + 1, -1); (hub_word + 1, Dist.inf) ]
 
@@ -851,6 +1070,12 @@ let suite =
     diff_topk;
     Alcotest.test_case "a top-k share merges, popping far below its row"
       `Quick test_topk_share_merges;
+    diff_farthest;
+    diff_farthest_weighted;
+    Alcotest.test_case "the fixture picks the ball, weighted labels the row"
+      `Quick test_ball_or_row;
+    Alcotest.test_case "farthest among no candidate" `Quick
+      test_farthest_among_empty;
     Alcotest.test_case "disconnected conventions pinned" `Quick
       test_disconnected_pinned;
     Alcotest.test_case "G_{2,1} gadget ops" `Slow test_gadget;

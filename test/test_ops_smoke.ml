@@ -11,9 +11,11 @@
       produces the same answer bytes as the in-process stores, and two
       same-seed runs are byte-identical to each other; with faults
       injected into the ops evaluator the answers stay exact and are
-      flagged bfs; a top-k past the reachable set of a disconnected
-      graph ends in its unreachable vertices at inf, in id order, in
-      process and through the router;
+      flagged bfs; a top-k, eccentricity, farthest or farthest-among
+      past the reachable set of a disconnected graph ends at inf (at
+      the smallest unreachable id), in process and through the router;
+      --budget refuses an aggregate whose predicted work exceeds it,
+      falling back to bfs;
    4. the shared store-kind resolver rejects the documented bad
       combinations with exit 124 on every subcommand that takes them,
       and bad --op spellings exit 124 / out-of-range operands exit 11.
@@ -242,9 +244,19 @@ let () =
     [
       "top-k:1,6 -> nearest 1:0,0:1,2:1,3:2,4:inf,5:inf";
       "top-k-among:1,6:0,2,4,5,6 -> nearest 0:1,2:1,4:inf,5:inf,6:inf";
+      "ecc:1 -> ecc inf";
+      "farthest:1 -> farthest 4:inf";
+      "farthest-among:1:0,2,5,6 -> farthest 5:inf";
     ]
   in
-  let ops = [ "--op"; "top-k:1,6"; "--op"; "top-k-among:1,6:0,2,4,5,6" ] in
+  let ops =
+    List.concat_map
+      (fun op -> [ "--op"; op ])
+      [
+        "top-k:1,6"; "top-k-among:1,6:0,2,4,5,6"; "ecc:1"; "farthest:1";
+        "farthest-among:1:0,2,5,6";
+      ]
+  in
   List.iter
     (fun (name, sub, extra) ->
       let code, lines =
@@ -266,7 +278,42 @@ let () =
     ];
   Sys.remove g;
   Sys.remove l;
-  Printf.printf "scenario 3c (top-k past the reachable set, inf tail): ok\n%!"
+  Printf.printf
+    "scenario 3c (top-k and farthest past the reachable set, inf): ok\n%!"
+
+(* ----- 3d. --budget bounds aggregates -------------------------------- *)
+
+(* An eccentricity predicts far more than 3 units of work, so the
+   store refuses it before any kernel runs: a clean skip to the BFS
+   fallback, counted once as budget_exhausted, and a degraded exit. A
+   generous budget leaves the primary answering. *)
+let () =
+  let run budget =
+    run_cli
+      [
+        "serve"; "query"; "--graph-file"; graph_file; "--labels-file";
+        packed_file; "--op"; "ecc:3"; "--budget"; budget;
+      ]
+  in
+  let field name lines =
+    let stats = List.find (String.starts_with ~prefix:"stats:") lines in
+    List.mem name (String.split_on_char ' ' stats)
+  in
+  let tight_code, tight = run "3" and wide_code, wide = run "1000000" in
+  check "budget 3: exits 12" (tight_code = 12);
+  check "budget 3: one budget skip" (field "budget_exhausted=1" tight);
+  check "budget 3: no fault" (field "faults=0" tight);
+  let served_by source =
+    List.exists (fun l ->
+        String.starts_with ~prefix:"ecc:3 -> " l
+        && String.ends_with ~suffix:(" " ^ source) l)
+  in
+  check "budget 3: answered by bfs" (served_by "bfs" tight);
+  check "generous budget: exits 0" (wide_code = 0);
+  check "generous budget: no budget skip" (field "budget_exhausted=0" wide);
+  check "generous budget: answered by the primary" (served_by "primary" wide);
+  check "budget: same answer either way" (op_answers tight = op_answers wide);
+  Printf.printf "scenario 3d (--budget bounds aggregates): ok\n%!"
 
 (* ----- 4. the shared resolver and typed failure exits ---------------- *)
 
